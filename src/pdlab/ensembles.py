@@ -1,10 +1,11 @@
 """Exact log-space canonical partition functions and ensemble diagnostics.
 
 Partition functions are built by the convolution recursion
-``Z_{l,n} = sum_k w_L(k) Z_{l-1,n-k}`` entirely in log space, since Z spans
-hundreds of orders of magnitude already for L, N in the hundreds.  All
-marginal, grand-canonical, entropy, and local-CLT quantities are derived from
-those tables or from tilted single-site laws.
+``Z_{l,n} = sum_k w_L(k) Z_{l-1,n-k}`` on linear rows that each carry one log
+offset, and are stored in log space, since Z spans hundreds of orders of
+magnitude already for L, N in the hundreds.  All marginal, grand-canonical,
+entropy, and local-CLT quantities are derived from those tables or from
+tilted single-site laws.
 """
 
 from __future__ import annotations
@@ -62,18 +63,30 @@ class LogZTable:
         return 1 <= L <= self.L_max and 0 <= N <= self.N_max
 
 
-def _log_convolve_row(prev: np.ndarray, logw: np.ndarray) -> np.ndarray:
-    """logsumexp_k (logw[k] + prev[n-k]) for every n."""
-    size = prev.size
-    idx = np.arange(size)
-    shift = idx[:, None] - idx[None, :]
-    mat = np.where(shift >= 0, logw[None, :] + prev[np.maximum(shift, 0)], NEG_INF)
-    with np.errstate(invalid="ignore"):
-        return logsumexp(mat, axis=1)
+def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
+    """Linear convolution of exp(log_a) * a and exp(log_b) * b as (vector, log offset).
+
+    The vector is rescaled to peak 1.  All terms are nonnegative, so every
+    cell is exact to a relative error of its length times the rounding unit,
+    as long as no term underflows.
+    """
+    out = np.convolve(a, b)
+    peak = out.max()
+    if peak <= 0.0:
+        return out, log_a + log_b
+    return out / peak, log_a + log_b + math.log(peak)
 
 
 def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
-    """Build the full log Z grid up to (L, N)."""
+    """Build the full log Z grid up to (L, N).
+
+    Each row is the previous row convolved with the weight row in linear
+    space, both scaled to maximum 1.  A cell is -inf exactly where no
+    composition reaches it (the convolution of the two finite-masks is 0).
+    A term below the smallest normal double removes at most (N+1) * tiny
+    from a cell, so a reachable cell whose scaled value falls below
+    (N+1) * tiny / eps is recomputed by a log-sum-exp over its own terms.
+    """
     if L < 1:
         raise ValueError("L must be >= 1")
     if N < 0:
@@ -82,8 +95,28 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     grid = np.full((L + 1, N + 1), NEG_INF)
     grid[0, 0] = 0.0
     grid[1] = logw
+    # 0/1 masks as floats: their convolution counts compositions exactly and
+    # runs on the fast floating-point path
+    w_mask = (logw > NEG_INF).astype(float)
+    w_off = logw.max() if w_mask.any() else 0.0
+    w_lin = np.exp(logw - w_off)
+    floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     for l in range(2, L + 1):
-        grid[l] = _log_convolve_row(grid[l - 1], logw)
+        prev = grid[l - 1]
+        support = np.convolve((prev > NEG_INF).astype(float), w_mask)[: N + 1] > 0.0
+        if not support.any():
+            continue
+        off = prev.max()  # finite, since the support is not empty
+        lin, log_scale = _scaled_convolve(np.exp(prev - off), off, w_lin, w_off)
+        lin = lin[: N + 1]
+        low = support & (lin < floor)
+        ok = support & ~low
+        grid[l, ok] = np.log(lin[ok]) + log_scale
+        if low.any():
+            cells = np.flatnonzero(low)
+            shift = cells[:, None] - np.arange(N + 1)[None, :]
+            terms = np.where(shift >= 0, logw[None, :] + prev[np.maximum(shift, 0)], NEG_INF)
+            grid[l, cells] = logsumexp(terms, axis=1)
     if N > 0 and grid[L, N] == NEG_INF:
         warnings.warn(
             f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}",
@@ -116,10 +149,28 @@ def save_logz_cache(table: LogZTable, directory) -> Path:
 
 
 def load_logz_cache(family: WeightFamily, L: int, N: int, directory) -> LogZTable | None:
-    path = Path(directory) / f"logz_{family.digest()}_{L}_{N}.npy"
-    if not path.exists():
+    """The cached grid for (family, L, N), or None when it is missing or invalid.
+
+    A grid is used only when its JSON sidecar names the same family digest,
+    L and N, and the array is float64 of shape (L+1, N+1) with no NaN or
+    +inf.  Anything else is a miss, so the caller rebuilds and overwrites it.
+    """
+    key = f"logz_{family.digest()}_{L}_{N}"
+    path = Path(directory) / f"{key}.npy"
+    try:
+        meta = json.loads((Path(directory) / f"{key}.json").read_text())
+        grid = np.load(path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
         return None
-    grid = np.load(path)
+    if not isinstance(meta, dict) or not isinstance(grid, np.ndarray):
+        return None
+    if (meta.get("digest"), meta.get("L"), meta.get("N")) != (family.digest(), L, N):
+        return None
+    if grid.dtype != np.float64 or grid.shape != (L + 1, N + 1):
+        return None
+    if np.isnan(grid).any() or (grid == np.inf).any():
+        return None
+    grid.setflags(write=False)
     return LogZTable(
         family=family, L_max=L, N_max=N, logz=grid,
         log_w=np.asarray(log_weight_row(family, L, N)),
@@ -129,6 +180,8 @@ def load_logz_cache(family: WeightFamily, L: int, N: int, directory) -> LogZTabl
 def _check_cell(table: LogZTable, L: int, N: int) -> None:
     if not table.covers(L, N):
         raise ValueError(f"table covers up to ({table.L_max},{table.N_max}), not ({L},{N})")
+    if table.logz[L, N] == NEG_INF:
+        raise ValueError(f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}")
 
 
 def single_site_marginals(table: LogZTable, L: int, N: int) -> np.ndarray:
@@ -342,14 +395,6 @@ def phi_sequence(family: WeightFamily, L: int) -> float:
 # ---------------------------------------------------------------------------
 # equivalence-of-ensembles diagnostics
 # ---------------------------------------------------------------------------
-
-
-def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
-    out = np.convolve(a, b)
-    peak = out.max()
-    if peak <= 0.0:
-        return out, log_a + log_b
-    return out / peak, log_a + log_b + math.log(peak)
 
 
 def _power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import LogZTable, pair_zero_probability, single_site_marginals
+from .ensembles import LogZTable, _check_cell, pair_zero_probability, single_site_marginals
 from .partitions import OrderedPartition
 from .report import DiagnosticsReport
 from .weights import log_limit_weight
@@ -94,8 +94,7 @@ def _conditional_cum(table: LogZTable, m: int, r: int) -> np.ndarray:
 
 def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration:
     """One exact draw from the canonical law at (L, N)."""
-    if not table.covers(L, N):
-        raise ValueError("table does not cover (L, N)")
+    _check_cell(table, L, N)
     g = _as_generator(rng)
     occ = np.zeros(L, dtype=np.int64)
     r = N
@@ -118,8 +117,7 @@ def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> 
     The conditional rows are recomputed per (site, remaining-mass) group
     rather than memoized, which keeps memory flat for large batches.
     """
-    if not table.covers(L, N):
-        raise ValueError("table does not cover (L, N)")
+    _check_cell(table, L, N)
     g = _as_generator(rng)
     occ = np.zeros((count, L), dtype=np.int64)
     remaining = np.full(count, N, dtype=np.int64)
@@ -163,8 +161,7 @@ def sample_size_biased_block(table: LogZTable, L: int, N: int, rng) -> int:
     """Exact draw of the occupation at the site of a uniformly chosen particle."""
     if N < 1:
         raise ValueError("size-biased sampling needs N >= 1")
-    if not table.covers(L, N):
-        raise ValueError("table does not cover (L, N)")
+    _check_cell(table, L, N)
     g = _as_generator(rng)
     cum = _size_biased_cum(table, L, N)
     n = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
@@ -174,6 +171,7 @@ def sample_size_biased_block(table: LogZTable, L: int, N: int, rng) -> int:
 def sample_size_biased_blocks(table: LogZTable, L: int, N: int, count: int, rng) -> np.ndarray:
     if N < 1:
         raise ValueError("size-biased sampling needs N >= 1")
+    _check_cell(table, L, N)
     g = _as_generator(rng)
     cum = _size_biased_cum(table, L, N)
     ns = np.searchsorted(cum, g.random(count) * cum[-1], side="right")

@@ -1,8 +1,10 @@
 """Brute-force oracles: direct enumeration of all configurations.
 
-Kept deliberately independent of the library's log-space machinery — plain
+Kept deliberately independent of the library's convolution machinery — plain
 floating-point products over stars-and-bars enumerations — so agreement is a
-real two-route check.
+real two-route check.  The log-space grid at the end is the reference for the
+library's rescaled linear-space kernel: an (N+1)x(N+1) log-sum-exp matrix per
+row, which never underflows.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
 
 def enumerate_configs(L: int, N: int):
@@ -90,3 +93,23 @@ def table_weight(seq):
         return seq[n] if n < len(seq) else 0.0
 
     return w
+
+
+def log_convolve_row(prev: np.ndarray, logw: np.ndarray) -> np.ndarray:
+    """logsumexp_k (logw[k] + prev[n-k]) for every n."""
+    size = prev.size
+    idx = np.arange(size)
+    shift = idx[:, None] - idx[None, :]
+    mat = np.where(shift >= 0, logw[None, :] + prev[np.maximum(shift, 0)], -np.inf)
+    with np.errstate(invalid="ignore"):
+        return logsumexp(mat, axis=1)
+
+
+def log_space_grid(logw: np.ndarray, L: int) -> np.ndarray:
+    """log Z_{l,n} for l <= L, n < logw.size, entirely in log space."""
+    grid = np.full((L + 1, logw.size), -np.inf)
+    grid[0, 0] = 0.0
+    grid[1] = logw
+    for l in range(2, L + 1):
+        grid[l] = log_convolve_row(grid[l - 1], logw)
+    return grid

@@ -73,6 +73,17 @@ class TestSample:
         assert len(rows) == 13
         assert all(sum(map(int, r.split())) == 7 for r in rows)
 
+    def test_zero_partition_function_exits_2(self, tmp_path, capsys):
+        family = tmp_path / "t111.json"
+        family.write_text(json.dumps({"kind": "table", "weights": [1, 1, 1]}))
+        out = tmp_path / "o"
+        with pytest.warns(UserWarning, match="exactly zero"):
+            code = run("--family", str(family), "--out", str(out),
+                       "sample", "--L", "5", "--N", "11", "--count", "3")
+        assert code == 2
+        assert "Z_{5,11} is exactly zero" in capsys.readouterr().err
+        assert not (out / "configurations.txt").exists()
+
 
 class TestSplitMerge:
     def test_mass_column_constant(self, tmp_path):
@@ -195,7 +206,33 @@ class TestZnCache:
         again = load_logz_cache(fam, 6, 9, tmp_path)
         assert again is not None
         assert np.allclose(again.logz, table.logz, equal_nan=True)
+        assert not again.logz.flags.writeable
         assert load_logz_cache(WeightFamily.inclusion(1.0), 6, 9, tmp_path) is None
+
+    def test_missing_sidecar_is_a_miss(self, tmp_path, bulk_family):
+        from pdlab import WeightFamily, build_logz
+        from pdlab.cli import load_logz_cache, save_logz_cache
+
+        fam = WeightFamily.from_json(bulk_family)
+        save_logz_cache(build_logz(fam, 6, 9), tmp_path)
+        next(tmp_path.glob("logz_*.json")).unlink()
+        assert load_logz_cache(fam, 6, 9, tmp_path) is None
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [np.zeros((10, 10)), np.full((21, 41), np.nan), np.full((21, 41), np.inf)],
+        ids=["shape", "nan", "inf"],
+    )
+    def test_corrupt_cache_is_rebuilt(self, tmp_path, bulk_family, corrupt):
+        out = tmp_path / "o"
+        argv = ("--family", bulk_family, "--out", str(out), "zn", "--L", "20", "--N", "40")
+        assert run(*argv) == 0
+        csv, cache = next(out.glob("zn_*.csv")), next(out.glob("logz_*.npy"))
+        good_csv, good_cache = csv.read_bytes(), cache.read_bytes()
+        np.save(cache, corrupt)
+        assert run(*argv) == 0
+        assert csv.read_bytes() == good_csv
+        assert cache.read_bytes() == good_cache
 
 
 class TestCondense:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 from scipy.stats import binom
@@ -30,6 +30,7 @@ from pdlab import (
 from oracle import (
     bulk_tail_weight,
     inclusion_weight,
+    log_space_grid,
     pair_zero,
     partition_function,
     site_marginal,
@@ -121,6 +122,57 @@ class TestBuildLogZ:
         else:
             assert float(t.logz[L, N]) == pytest.approx(math.log(z), abs=1e-10)
 
+    def test_underflowing_cells_are_repaired(self):
+        # Z_{l,0} = 1e-200^l leaves the double range from l = 2 on, so those
+        # cells take the log-space repair instead of the linear convolution
+        t = build_logz(WeightFamily.from_table([1e-200, 1.0]), 6, 6)
+        assert t.logz[6, 0] < math.log(np.finfo(float).tiny)
+        assert t.logz[6, 0] == pytest.approx(6 * math.log(1e-200), rel=1e-14)
+        ref = log_space_grid(t.log_w, 6)
+        assert np.allclose(t.logz, ref, rtol=1e-14, atol=0.0)
+
+    @given(
+        st.one_of(
+            st.builds(WeightFamily.inclusion, st.floats(min_value=0.05, max_value=5.0)),
+            st.builds(
+                lambda theta, bulk: WeightFamily.bulk_tail(
+                    theta, len(bulk) - 1, [b / sum(bulk) for b in bulk]
+                ),
+                st.floats(min_value=0.05, max_value=5.0),
+                st.lists(
+                    st.sampled_from([0.0, 1e-3, 0.25, 1.0]), min_size=1, max_size=4
+                ).filter(lambda b: max(b) > 0.0),
+            ),
+            # exact interior zeros and weights hundreds of orders of magnitude
+            # apart, which drive cells below the linear kernel's floor
+            st.builds(
+                WeightFamily.from_table,
+                st.lists(
+                    st.sampled_from([0.0, 1e-250, 1e-200, 1e-3, 0.5, 1.0, 3.0])
+                    | st.floats(min_value=1e-3, max_value=3.0),
+                    min_size=1,
+                    max_size=5,
+                ).filter(lambda w: max(w) > 0.0),
+            ),
+        ),
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=30),
+    )
+    @example(WeightFamily.from_table([1.0, 0.0, 1.0]), 12, 30)
+    @example(WeightFamily.from_table([1e-200, 1.0]), 12, 30)
+    @example(WeightFamily.from_table([1.0, 1e-250, 1e-250, 1.0]), 12, 30)
+    @settings(max_examples=80, deadline=None)
+    def test_linear_kernel_matches_log_space_oracle(self, family, L, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            t = build_logz(family, L, N)
+        ref = log_space_grid(t.log_w, L)
+        assert not np.isnan(t.logz).any()
+        assert (np.isneginf(t.logz) == np.isneginf(ref)).all()
+        fin = np.isfinite(ref)
+        err = np.abs(t.logz[fin] - ref[fin])
+        assert (err <= 1e-12 * np.maximum(1.0, np.abs(ref[fin]))).all()
+
 
 class TestMarginals:
     def test_flat_table_values(self):
@@ -166,6 +218,14 @@ class TestMarginals:
             single_site_marginal(t, 2, 2, 3)
         with pytest.raises(ValueError):
             size_biased_marginals(t, 2, 0)
+
+    @pytest.mark.parametrize("marginals", [single_site_marginals, size_biased_marginals])
+    def test_zero_partition_function_rejected(self, marginals):
+        # w(n) = 0 for n > 2: five sites cannot hold eleven particles
+        with pytest.warns(UserWarning, match="exactly zero"):
+            t = build_logz(TABLE111, 5, 11)
+        with pytest.raises(ValueError, match=r"Z_\{5,11\} is exactly zero"):
+            marginals(t, 5, 11)
 
 
 class TestPairZero:

@@ -151,6 +151,30 @@ class TestSizeBiasedBlocks:
             assert abs(p - q) < 4 * se
 
 
+class TestRejectedCells:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda t, L, N, rng: sample_configuration(t, L, N, rng),
+            lambda t, L, N, rng: sample_configurations(t, L, N, 3, rng),
+            lambda t, L, N, rng: sample_size_biased_block(t, L, N, rng),
+            lambda t, L, N, rng: sample_size_biased_blocks(t, L, N, 3, rng),
+        ],
+        ids=["configuration", "configurations", "block", "blocks"],
+    )
+    def test_zero_partition_function(self, draw):
+        # w(n) = 0 for n > 2: five sites cannot hold eleven particles
+        with pytest.warns(UserWarning, match="exactly zero"):
+            t = build_logz(TABLE111, 5, 11)
+        with pytest.raises(ValueError, match=r"Z_\{5,11\} is exactly zero"):
+            draw(t, 5, 11, SeededRng(0))
+
+    def test_blocks_outside_table(self):
+        t = build_logz(BULK, 2, 4)
+        with pytest.raises(ValueError, match="covers up to"):
+            sample_size_biased_blocks(t, 3, 4, 10, SeededRng(0))
+
+
 class TestToPartition:
     def test_example(self):
         p = to_partition(Configuration(np.array([2, 0, 3, 1])))
