@@ -47,7 +47,6 @@ class RunConfig:
     command: str
     family: dict | None
     seed: int
-    threads: int
     options: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -56,7 +55,6 @@ class RunConfig:
             "command": self.command,
             "family": self.family,
             "seed": self.seed,
-            "threads": self.threads,
             "options": self.options,
         }
 
@@ -247,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--family", help="weight family JSON (or CSV of L,n,w rows)")
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (reserved)")
     parser.add_argument("--out", default=".", help="output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -320,11 +317,10 @@ def main(argv=None) -> int:
         command=args.command,
         family=family_doc,
         seed=args.seed,
-        threads=args.threads,
         options={
             k: v
             for k, v in sorted(vars(args).items())
-            if k not in ("command", "family", "seed", "threads", "out") and v is not None
+            if k not in ("command", "family", "seed", "out") and v is not None
         },
     )
     try:

@@ -9,9 +9,8 @@ import numpy as np
 from scipy import stats
 
 from .ensembles import LogZTable, single_site_marginals, size_biased_marginals
-from .partitions import OrderedPartition, positive_size_biased
+from .partitions import OrderedPartition, _as_generator, positive_size_biased
 from .report import DiagnosticsReport
-from .sampler import _as_generator
 
 
 def condensed_fraction(table: LogZTable, L: int, N: int, eps: float) -> float:

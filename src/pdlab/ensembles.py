@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -57,7 +57,6 @@ class LogZTable:
     N_max: int
     logz: np.ndarray
     log_w: np.ndarray
-    _cum_cache: dict = field(default_factory=dict, repr=False)
 
     def covers(self, L: int, N: int) -> bool:
         return 1 <= L <= self.L_max and 0 <= N <= self.N_max

@@ -164,6 +164,16 @@ def pd_degenerate(alpha: float) -> OrderedPartition:
     return OrderedPartition.from_masses([alpha] if alpha > 0 else [])
 
 
+def _pick(masses: list[float], available: list[int], u: float) -> int | None:
+    """Slot in ``available`` whose running mass first exceeds u; None when u passes them all."""
+    acc = 0.0
+    for slot, j in enumerate(available):
+        acc += masses[j]
+        if u < acc:
+            return slot
+    return None
+
+
 def size_biased(
     p: OrderedPartition, count: int, rng: np.random.Generator
 ) -> SizeBiasedSample:
@@ -187,14 +197,7 @@ def size_biased(
         if denom <= 1e-15:
             values.append(0.0)
             continue
-        u = g.random() * denom
-        acc = 0.0
-        pick = None
-        for slot, j in enumerate(available):
-            acc += masses[j]
-            if u < acc:
-                pick = slot
-                break
+        pick = _pick(masses, available, g.random() * denom)
         if pick is None:
             # landed in the zero reservoir of mass (1 - total) / denom
             values.append(0.0)
@@ -221,14 +224,10 @@ def positive_size_biased(
         if not available or remaining <= 1e-15 * total:
             values.append(0.0)
             continue
-        u = g.random() * remaining
-        acc = 0.0
-        pick = len(available) - 1
-        for slot, j in enumerate(available):
-            acc += masses[j]
-            if u < acc:
-                pick = slot
-                break
+        pick = _pick(masses, available, g.random() * remaining)
+        if pick is None:
+            # rounding left u past the last block: take it
+            pick = len(available) - 1
         j = available.pop(pick)
         values.append(masses[j])
         remaining -= masses[j]

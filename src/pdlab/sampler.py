@@ -8,13 +8,20 @@ could collapse deep in the condensed regime).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ensembles import LogZTable, _check_cell, pair_zero_probability, single_site_marginals
-from .partitions import OrderedPartition
+from .ensembles import (
+    LogZTable,
+    _check_cell,
+    pair_zero_probability,
+    single_site_marginals,
+    size_biased_marginals,
+)
+from .partitions import OrderedPartition, _as_generator
 from .report import DiagnosticsReport
 from .weights import log_limit_weight
 
@@ -38,14 +45,6 @@ class SeededRng:
     @property
     def generator(self) -> np.random.Generator:
         return self._gen
-
-
-def _as_generator(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, SeededRng):
-        return rng.generator
-    raise TypeError(f"cannot interpret {type(rng).__name__} as a random generator")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,39 +75,36 @@ class Configuration:
         return int((self.occupations == 0).sum())
 
 
-def _conditional_cum(table: LogZTable, m: int, r: int) -> np.ndarray:
-    """Cumulative conditional law of one site given m sites and mass r remain.
-
-    Rows are memoized on the table; entries are immutable once stored, so
-    concurrent read-mostly access is safe (a redundant recompute at worst).
-    """
-    key = (m, r)
-    cum = table._cum_cache.get(key)
-    if cum is None:
-        logp = table.log_w[: r + 1] + table.logz[m - 1, r::-1] - table.logz[m, r]
-        cum = np.cumsum(np.exp(logp))
-        cum.setflags(write=False)
-        table._cum_cache[key] = cum
-    return cum
-
-
 def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration:
-    """One exact draw from the canonical law at (L, N)."""
+    """One exact draw from the canonical law at (L, N).
+
+    Each site inverts its conditional law by sequential search: it adds up
+    p(n) = w(n) Z_{m-1, r-n} / Z_{m, r} for n = 0, 1, ... and stops at the
+    first n whose running sum passes the site's uniform, so a draw reads
+    N + L terms in all.  When rounding leaves the sum just short of the
+    uniform, the largest n with p(n) > 0 is taken, never a zero-weight one.
+    """
     _check_cell(table, L, N)
     g = _as_generator(rng)
+    logz, log_w = table.logz, table.log_w[: N + 1].tolist()
     occ = np.zeros(L, dtype=np.int64)
     r = N
     for x in range(L - 1):
         m = L - x
-        cum = _conditional_cum(table, m, r)
-        n = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
-        n = min(n, r)
+        u = g.random()
+        rest, top = logz[m - 1], logz.item(m, r)
+        acc, n = 0.0, 0
+        for k in range(r + 1):
+            p = math.exp(log_w[k] + rest.item(r - k) - top)
+            if p > 0.0:
+                n = k
+            acc += p
+            if acc > u:
+                break
         occ[x] = n
         r -= n
     occ[L - 1] = r
-    cfg = Configuration(occ)
-    assert cfg.N == N
-    return cfg
+    return Configuration(occ)
 
 
 def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> np.ndarray:
@@ -145,36 +141,14 @@ def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> 
     return occ
 
 
-def _size_biased_cum(table: LogZTable, L: int, N: int) -> np.ndarray:
-    key = ("size_biased", L, N)
-    cum = table._cum_cache.get(key)
-    if cum is None:
-        probs = single_site_marginals(table, L, N)
-        n = np.arange(N + 1, dtype=float)
-        cum = np.cumsum((L / N) * n * probs)
-        cum.setflags(write=False)
-        table._cum_cache[key] = cum
-    return cum
-
-
 def sample_size_biased_block(table: LogZTable, L: int, N: int, rng) -> int:
     """Exact draw of the occupation at the site of a uniformly chosen particle."""
-    if N < 1:
-        raise ValueError("size-biased sampling needs N >= 1")
-    _check_cell(table, L, N)
-    g = _as_generator(rng)
-    cum = _size_biased_cum(table, L, N)
-    n = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
-    return max(1, min(n, N))
+    return int(sample_size_biased_blocks(table, L, N, 1, rng)[0])
 
 
 def sample_size_biased_blocks(table: LogZTable, L: int, N: int, count: int, rng) -> np.ndarray:
-    if N < 1:
-        raise ValueError("size-biased sampling needs N >= 1")
-    _check_cell(table, L, N)
-    g = _as_generator(rng)
-    cum = _size_biased_cum(table, L, N)
-    ns = np.searchsorted(cum, g.random(count) * cum[-1], side="right")
+    cum = np.cumsum(size_biased_marginals(table, L, N))
+    ns = np.searchsorted(cum, _as_generator(rng).random(count) * cum[-1], side="right")
     return np.clip(ns, 1, N).astype(np.int64)
 
 

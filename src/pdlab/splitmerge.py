@@ -17,9 +17,9 @@ from functools import lru_cache
 import numpy as np
 
 from .ensembles import cached_logz
-from .partitions import OrderedPartition
+from .partitions import OrderedPartition, _as_generator
 from .report import DiagnosticsReport
-from .sampler import Configuration, _as_generator, sample_configurations
+from .sampler import Configuration, sample_configurations
 from .weights import WeightFamily
 
 LATTICE_TOL = 1e-9
@@ -202,8 +202,8 @@ def _panel_points(lo: float, hi: float, breaks, nodes: int):
     return np.concatenate(us), np.concatenate(ws)
 
 
-def _merge_sum(arr: np.ndarray, fs, base, eps: float = 0.0) -> list[float]:
-    """sum over ordered pairs of p_i p_j [f(merged) - f(p)], optionally cut at eps."""
+def _merge_sum(arr: np.ndarray, fs, base, eps: float) -> list[float]:
+    """sum over ordered pairs of p_i p_j [f(merged) - f(p)], cut at eps (none when eps = 0)."""
     m = max(f.depends_on for f in fs)
     if eps > 0.0:
         idxs = np.nonzero(arr >= eps - LATTICE_TOL)[0]
@@ -217,7 +217,7 @@ def _merge_sum(arr: np.ndarray, fs, base, eps: float = 0.0) -> list[float]:
     return [float(np.dot(wts, f.evaluate_tops(tops) - b)) for f, b in zip(fs, base)]
 
 
-def _split_integral(arr, i, f_list, nodes, lo=0.0, hi=1.0):
+def _split_integral(arr, i, f_list, nodes, lo, hi):
     """integral over u in [lo, hi] of f(partition with block i split at u), per f."""
     m = max(f.depends_on for f in f_list)
     v = float(arr[i])
@@ -255,31 +255,19 @@ def generator_apply(
 
     Merge part: sum over ordered pairs i != j of p_i p_j [f(merge) - f(p)].
     Split part: theta sum_i p_i^2 [int_0^1 f(split at u) du - f(p)], with the
-    integral evaluated by panel-subdivided Gauss-Legendre quadrature, or by
-    the exact closed form for monomials in p_1 on a one-block partition.
+    integral evaluated by panel-subdivided Gauss-Legendre quadrature (the
+    cutoff generator at eps = 0), or by the exact closed form for monomials
+    in p_1 on a one-block partition.
     """
-    arr = p.as_array()
-    if arr.size == 0:
-        return 0.0
-    base = [f(p)]
-    merge_part = _merge_sum(arr, (f,), base)[0]
-
-    if split_method == "closed_form":
-        if arr.size != 1:
-            raise ValueError("closed form applies to one-block partitions only")
-        return merge_part + _one_block_monomial_split(theta, float(arr[0]), f)
-    if split_method != "quadrature":
+    if split_method == "quadrature":
+        return cutoff_generator_apply(theta, 0.0, p, f, quadrature_nodes)
+    if split_method != "closed_form":
         raise ValueError("split_method must be 'quadrature' or 'closed_form'")
-
-    split_part = 0.0
-    if theta != 0.0:
-        for i in range(arr.size):
-            v = float(arr[i])
-            if v <= 0.0:
-                continue
-            integral = _split_integral(arr, i, (f,), quadrature_nodes)[0]
-            split_part += v * v * (integral - base[0])
-    return merge_part + theta * split_part
+    arr = p.as_array()
+    if arr.size > 1:
+        raise ValueError("closed form applies to one-block partitions only")
+    # a lone block has nothing to merge with, so only the split term remains
+    return _one_block_monomial_split(theta, float(arr[0]), f) if arr.size else 0.0
 
 
 def cutoff_generator_apply(
@@ -293,11 +281,11 @@ def cutoff_generator_apply(
 
     Merges only pairs with both blocks >= eps; splits only blocks >= 2 eps and
     only into pieces >= eps, i.e. the split integral runs over u in
-    [eps/p_i, 1 - eps/p_i] of f(split at u) - f(p).  As eps -> 0 this recovers
-    the full generator.
+    [eps/p_i, 1 - eps/p_i] of f(split at u) - f(p).  eps = 0 is the full
+    generator.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not eps >= 0.0:
+        raise ValueError("eps must be nonnegative")
     arr = p.as_array()
     if arr.size == 0:
         return 0.0

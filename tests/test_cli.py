@@ -54,6 +54,14 @@ class TestSample:
                 "sample", "--L", "4", "--N", "6", "--count", "20")
         assert (a / "configurations.txt").read_bytes() == (b / "configurations.txt").read_bytes()
 
+    def test_config_records_no_thread_count(self, tmp_path, bulk_family):
+        out = tmp_path / "o"
+        run("--family", bulk_family, "--seed", "5", "--out", str(out),
+            "sample", "--L", "3", "--N", "4", "--count", "2")
+        header = (out / "configurations.txt").read_text().splitlines()[1]
+        config = json.loads(header.removeprefix("# config: "))
+        assert config["seed"] == 5 and "threads" not in config
+
     def test_zero_mass_writes_all_zero_rows(self, tmp_path, bulk_family):
         out = tmp_path / "o"
         run("--family", bulk_family, "--out", str(out), "sample", "--L", "3", "--N", "0", "--count", "4")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,25 @@ from oracle import config_law, table_weight
 TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
 INCLUSION = WeightFamily.inclusion(0.5)
+GAP = WeightFamily.bulk_tail(1.0, 2, [0.5, 0.0, 0.5])
+
+# (family, L, N) with zero weights or a wide dynamic range
+EDGE_CELLS = {
+    "gap": (GAP, 40, 80),
+    "inclusion": (INCLUSION, 30, 60),
+    "table_1_0_1": (WeightFamily.from_table([1.0, 0.0, 1.0]), 12, 16),
+    "table_1e-200_1": (WeightFamily.from_table([1e-200, 1.0]), 12, 7),
+}
+
+
+class _AlwaysNearOne:
+    """Stand-in stream whose every uniform is the largest double below 1."""
+
+    class generator:
+        @staticmethod
+        def random(size=None):
+            u = 1.0 - 2.0**-53
+            return u if size is None else np.full(size, u)
 
 
 class TestSeededRng:
@@ -102,6 +122,48 @@ class TestSampleConfiguration:
             p = probs[n]
             se = math.sqrt(p * (1 - p) / first.size) + 1e-9
             assert abs((first == n).mean() - p) < 4 * se
+
+
+class TestScalarPath:
+    @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
+    def test_scalar_draws_equal_batch_draws(self, cell):
+        fam, L, N = cell
+        t = build_logz(fam, L, N)
+        for seed in range(50):
+            one = sample_configuration(t, L, N, SeededRng(seed)).occupations
+            batch = sample_configurations(t, L, N, 1, SeededRng(seed))[0]
+            assert one.tolist() == batch.tolist()
+            block = sample_size_biased_block(t, L, N, SeededRng(seed))
+            assert block == sample_size_biased_blocks(t, L, N, 1, SeededRng(seed))[0]
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
+    def test_walk_past_the_row_total_keeps_positive_weights(self, cell):
+        # u just below 1 can exceed the rounded row sum; the draw must stay legal
+        fam, L, N = cell
+        t = build_logz(fam, L, N)
+        occ = sample_configuration(t, L, N, _AlwaysNearOne()).occupations
+        assert occ.sum() == N
+        assert np.isfinite(t.log_w[occ]).all()
+
+    def test_memory_stays_flat(self):
+        L, N = 200, 400
+        t = build_logz(GAP, L, N)
+        rng = SeededRng(11)
+        sample_configuration(t, L, N, rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(1_000):
+                sample_configuration(t, L, N, rng)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1_000_000
+
+    def test_missing_generator_rejected(self):
+        t = build_logz(BULK, 3, 4)
+        with pytest.raises(ValueError, match="explicit seeded generator"):
+            sample_configurations(t, 3, 4, 5, rng=None)
 
 
 class TestSizeBiasedBlocks:

@@ -186,6 +186,19 @@ class TestCutoffGenerator:
         assert devs[0] > devs[1] > devs[2]
         assert devs[-1] < 1e-2
 
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 2.3])
+    def test_zero_cutoff_is_the_full_generator(self, theta):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            p = OrderedPartition.from_masses(rng.dirichlet(np.ones(4))[:3])
+            for f in (P1, P1_SQUARED, P1_P2, P1_PLUS_P2, EXP_NEG_P1):
+                assert cutoff_generator_apply(theta, 0.0, p, f) == generator_apply(theta, p, f)
+
+    def test_negative_cutoff_rejected(self):
+        p = OrderedPartition.from_masses([0.6, 0.4])
+        with pytest.raises(ValueError, match="nonnegative"):
+            cutoff_generator_apply(1.0, -0.1, p, P1)
+
 
 class TestDiscreteGenerator:
     def test_all_blocks_below_cutoff(self):
@@ -260,6 +273,11 @@ class TestSimulate:
         a = simulate(1.0, p0, 15.0, SeededRng(4), sample_times=[5.0, 15.0])
         b = simulate(1.0, p0, 15.0, SeededRng(4), sample_times=[5.0, 15.0])
         assert [s.partition.masses for s in a] == [s.partition.masses for s in b]
+
+    def test_missing_generator_rejected(self):
+        p0 = OrderedPartition.from_masses([1.0])
+        with pytest.raises(ValueError, match="explicit seeded generator"):
+            simulate(1.0, p0, 1.0, rng=None)
 
     def test_validation(self):
         p0 = OrderedPartition.from_masses([1.0])
