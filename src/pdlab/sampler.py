@@ -104,6 +104,7 @@ def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration
         occ[x] = n
         r -= n
     occ[L - 1] = r
+    _check_draws(table, occ, N)
     return Configuration(occ)
 
 
@@ -137,8 +138,23 @@ def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> 
             occ[lanes, x] = ns
             remaining[lanes] -= ns
     occ[:, L - 1] = remaining
-    assert (occ.sum(axis=1) == N).all()
+    _check_draws(table, occ, N)
     return occ
+
+
+def _check_draws(table: LogZTable, occ: np.ndarray, N: int) -> None:
+    """Refuse draws whose rows miss N or hold a zero-weight occupation.
+
+    The last site takes whatever mass is left, so a grid that disagrees with
+    its weight row (corrupt, or off by rounding) can hand it an impossible
+    occupation.  An explicit check, unlike an assert, also runs under -O.
+    """
+    zero_weight = np.isneginf(table.log_w[: N + 1])
+    if (occ.sum(axis=-1) != N).any() or (zero_weight.any() and zero_weight[occ].any()):
+        raise FloatingPointError(
+            f"a draw at N = {N} misses the total or holds a zero-weight occupation; "
+            "the log Z grid disagrees with its weight row"
+        )
 
 
 def sample_size_biased_block(table: LogZTable, L: int, N: int, rng) -> int:

@@ -11,12 +11,13 @@ for the convergence and reversibility diagnostics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .ensembles import cached_logz
+from .ensembles import _check_cell, cached_logz
 from .partitions import OrderedPartition, _as_generator
 from .report import DiagnosticsReport
 from .sampler import Configuration, sample_configurations
@@ -630,12 +631,34 @@ class DefectResult:
 EXACT_STATE_CAP = 10**7
 
 
-def _compositions(n: int, parts: int):
-    if parts == 1:
-        yield (n,)
+def _partition_count(n: int, parts: int) -> int:
+    """Number of partitions of n into at most ``parts`` parts, in O(n * parts).
+
+    Uses p(m, <= k) = p(m, <= k - 1) + p(m - k, <= k) over part sizes k (a
+    partition into at most k parts is the conjugate of one with parts <= k).
+    The count only grows with k, so it stops as soon as it passes
+    EXACT_STATE_CAP and then returns a number that is only known to exceed it.
+    """
+    counts = [1] + [0] * n
+    for k in range(1, min(parts, n) + 1):
+        for m in range(k, n + 1):
+            counts[m] += counts[m - k]
+        if counts[n] > EXACT_STATE_CAP:
+            break
+    return counts[n]
+
+
+def _partitions(n: int, parts: int, largest: int):
+    """Partitions of n into at most ``parts`` parts, none above ``largest``, descending.
+
+    The head runs down from min(n, largest) to ceil(n / parts), the least head
+    the remaining parts can follow, so no branch is a dead end.
+    """
+    if n == 0:
+        yield ()
         return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, parts - 1):
+    for head in range(min(n, largest), -(-n // parts) - 1, -1):
+        for rest in _partitions(n - head, parts - 1, head):
             yield (head, *rest)
 
 
@@ -660,9 +683,15 @@ def reversibility_defect(
 ) -> DefectResult:
     """mu_{L,N}(f G g) - mu_{L,N}(g G f) for the lattice generator at cutoff eps.
 
-    Exact mode enumerates all configurations (capped at 10^7 states); mc mode
-    averages over exact canonical samples and reports a standard error.  The
-    defect is antisymmetric in (f, g) by construction.
+    The integrand h = f G g - g G f depends only on the sorted partition of a
+    configuration.  Exact mode enumerates the partitions of N into at most L
+    parts, each weighted by its canonical probability times the number
+    L! / ((L - l)! prod_j m_j!) of configurations that sort to it (l parts,
+    m_j of size j); it refuses more than 10^7 partitions, and ``n`` is their
+    count.  mc mode averages h over ``samples`` exact canonical draws, one h
+    per distinct sorted configuration of each chunk, and reports a standard
+    error; ``n`` is the sample count.  The defect is antisymmetric in (f, g)
+    by construction.
     """
     params = {
         "family": family.to_json_dict(),
@@ -674,26 +703,32 @@ def reversibility_defect(
         "g": g.label or "g",
     }
 
-    def h_value(arr: np.ndarray) -> float:
-        applied, base = _discrete_apply_many(theta, N, eps, arr, (f, g))
+    def h_value(row: np.ndarray) -> float:
+        applied, base = _discrete_apply_many(theta, N, eps, _partition_array(row, N), (f, g))
         return base[0] * applied[1] - base[1] * applied[0]
 
     if mode == "exact":
-        n_states = math.comb(N + L - 1, L - 1)
+        n_states = _partition_count(N, L)
         if n_states > EXACT_STATE_CAP:
             raise ValueError(
-                f"{n_states} states exceed the exact-mode cap ({EXACT_STATE_CAP}); use mode='mc'"
+                f"more than {EXACT_STATE_CAP} partitions of {N} into at most {L} parts "
+                "exceed the exact-mode cap; use mode='mc'"
             )
         table = cached_logz(family, L, N)
+        _check_cell(table, L, N)
         logw = table.log_w
-        log_z = float(table.logz[L, N])
+        log_norm = math.lgamma(L + 1) - float(table.logz[L, N])
         total = 0.0
-        for comp in _compositions(N, L):
-            row = np.asarray(comp, dtype=np.int64)
-            weight = math.exp(float(np.sum(logw[row])) - log_z)
+        for parts in _partitions(N, L, N):
+            row = np.zeros(L, dtype=np.int64)
+            row[: len(parts)] = parts
+            # summing over all L sites keeps an exact zero weight, w(0) too, at -inf
+            log_weight = float(np.sum(logw[row])) + log_norm - math.lgamma(L - len(parts) + 1)
+            log_weight -= sum(math.lgamma(m + 1) for m in Counter(parts).values())
+            weight = math.exp(log_weight)
             if weight == 0.0:
                 continue
-            total += weight * h_value(_partition_array(row, N))
+            total += weight * h_value(row)
         return DefectResult(defect=total, stderr=None, mode="exact", n=n_states, params=params)
 
     if mode != "mc":
@@ -708,10 +743,13 @@ def reversibility_defect(
     while done < samples:
         take = min(chunk, samples - done)
         occ = sample_configurations(table, L, N, take, gen)
-        for row in occ:
-            h = h_value(_partition_array(row, N))
-            total += h
-            total_sq += h * h
+        # group equal sorted rows by their bytes; np.unique(axis=0) compares
+        # rows field by field and costs more than the draws on wide rows
+        groups = Counter(map(bytes, np.sort(occ, axis=1)))
+        for key, count in groups.items():
+            h = h_value(np.frombuffer(key, dtype=occ.dtype))
+            total += count * h
+            total_sq += count * h * h
         done += take
     mean = total / samples
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)

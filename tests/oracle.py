@@ -4,7 +4,9 @@ Kept deliberately independent of the library's convolution machinery — plain
 floating-point products over stars-and-bars enumerations — so agreement is a
 real two-route check.  The log-space grid at the end is the reference for the
 library's rescaled linear-space kernel: an (N+1)x(N+1) log-sum-exp matrix per
-row, which never underflows.
+row, which never underflows.  The reference reversibility defect walks every
+configuration with the library's lattice generator, so it checks how the
+library groups and weights configurations, not the generator itself.
 """
 
 from __future__ import annotations
@@ -67,6 +69,31 @@ def pair_zero(w, L: int, N: int) -> float:
 def config_law(w, L: int, N: int) -> dict[tuple, float]:
     z = partition_function(w, L, N)
     return {c: weight_of(c, w) / z for c in enumerate_configs(L, N)}
+
+
+def defect_integrand(theta: float, N: int, eps: float, f, g, config) -> float:
+    """h = f G g - g G f of the lattice generator at one configuration."""
+    from pdlab.splitmerge import _discrete_apply_many
+
+    masses = np.array(sorted((n / N for n in config if n > 0), reverse=True))
+    applied, base = _discrete_apply_many(theta, N, eps, masses, (f, g))
+    return base[0] * applied[1] - base[1] * applied[0]
+
+
+def reference_defect(w, L: int, N: int, eps: float, theta: float, f, g) -> float:
+    """mu_{L,N}(f G g) - mu_{L,N}(g G f), one term per configuration.
+
+    Weights are plain products of w over the sites, normalised by their own
+    sum, so no log Z grid and no partition multiplicity enters.
+    """
+    total = z = 0.0
+    for c in enumerate_configs(L, N):
+        weight = weight_of(c, w)
+        if weight == 0.0:
+            continue
+        total += weight * defect_integrand(theta, N, eps, f, g, c)
+        z += weight
+    return total / z
 
 
 def inclusion_weight(theta: float, L: int):

@@ -1,4 +1,9 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -235,6 +240,67 @@ class TestRejectedCells:
         t = build_logz(BULK, 2, 4)
         with pytest.raises(ValueError, match="covers up to"):
             sample_size_biased_blocks(t, 3, 4, 10, SeededRng(0))
+
+
+def corrupt_table():
+    """Table [1, 1, 1] at (2, 4), where only (2, 2) carries weight, with two
+    cells of row 1 swapped in value: Z_{1,4} = 1 and Z_{1,2} = 0.  Every draw
+    then leaves the first site empty and hands the last site w(4) = 0."""
+    t = build_logz(TABLE111, 2, 4)
+    logz = t.logz.copy()
+    logz[1, 4], logz[1, 2] = 0.0, -np.inf
+    return dataclasses.replace(t, logz=logz)
+
+
+class TestDrawCheck:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda t, rng: sample_configuration(t, 2, 4, rng),
+            lambda t, rng: sample_configurations(t, 2, 4, 5, rng),
+        ],
+        ids=["configuration", "configurations"],
+    )
+    def test_zero_weight_last_site_rejected(self, draw):
+        with pytest.raises(FloatingPointError, match="zero-weight"):
+            draw(corrupt_table(), SeededRng(0))
+
+    def test_check_survives_optimised_mode(self):
+        script = textwrap.dedent(
+            """
+            import dataclasses, sys
+            import numpy as np
+            from pdlab import SeededRng, WeightFamily, build_logz, sample_configurations
+            if __debug__:
+                sys.exit("not running under -O")
+            t = build_logz(WeightFamily.from_table([1.0, 1.0, 1.0]), 2, 4)
+            logz = t.logz.copy()
+            logz[1, 4], logz[1, 2] = 0.0, -np.inf
+            try:
+                sample_configurations(dataclasses.replace(t, logz=logz), 2, 4, 5, SeededRng(0))
+            except FloatingPointError:
+                sys.exit(0)
+            sys.exit("corrupt grid accepted")
+            """
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_cli_exits_3(self, tmp_path, monkeypatch, capsys):
+        from pdlab import cli
+
+        family = tmp_path / "t111.json"
+        family.write_text('{"kind": "table", "weights": [1, 1, 1]}')
+        monkeypatch.setattr(cli, "build_logz", lambda fam, L, N: corrupt_table())
+        code = cli.main(["--family", str(family), "--out", str(tmp_path / "o"),
+                         "sample", "--L", "2", "--N", "4", "--count", "3"])
+        assert code == 3
+        assert "zero-weight" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "configurations.txt").exists()
 
 
 class TestToPartition:

@@ -1,7 +1,11 @@
 import math
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pdlab import (
@@ -13,6 +17,7 @@ from pdlab import (
     Configuration,
     CylinderFunction,
     OrderedPartition,
+    FUNCTION_LIBRARY,
     SeededRng,
     WeightFamily,
     cutoff_generator_apply,
@@ -25,10 +30,23 @@ from pdlab import (
     norms,
     reversibility_defect,
     rn_derivative_check,
+    sample_configurations,
     simulate,
     split,
     stick_breaking,
     time_averaged_l2,
+)
+from pdlab.ensembles import cached_logz
+from pdlab.splitmerge import _partition_count, _partitions
+
+from oracle import (
+    bulk_tail_weight,
+    defect_integrand,
+    enumerate_configs,
+    inclusion_weight,
+    partition_function,
+    reference_defect,
+    table_weight,
 )
 
 
@@ -375,6 +393,17 @@ class TestRnDerivative:
         assert rep.value("max_abs_log_deviation") <= 1e-12
 
 
+# (family, oracle weight as a function of L): smooth, a gap at w(1) = 0, and w(0) = 0
+DEFECT_FAMILIES = {
+    "inclusion": (WeightFamily.inclusion(0.5), lambda L: inclusion_weight(0.5, L)),
+    "gap": (
+        WeightFamily.bulk_tail(1.0, 2, [0.5, 0.0, 0.5]),
+        lambda L: bulk_tail_weight(1.0, 2, [0.5, 0.0, 0.5], L),
+    ),
+    "w0_zero": (WeightFamily.from_table([0.0, 1.0, 1.0]), lambda L: table_weight([0.0, 1.0, 1.0])),
+}
+
+
 class TestReversibilityDefect:
     FAM = WeightFamily.inclusion(0.5)
 
@@ -417,6 +446,67 @@ class TestReversibilityDefect:
     def test_exact_cap_enforced(self):
         with pytest.raises(ValueError, match="mc"):
             reversibility_defect(self.FAM, 40, 80, 0.1, 0.5, P1, P1_P2, mode="exact")
+
+    def test_partition_count_matches_enumeration(self):
+        for L in range(1, 7):
+            for N in range(13):
+                parts = list(_partitions(N, L, N))
+                sorted_configs = {tuple(sorted(c, reverse=True)) for c in enumerate_configs(L, N)}
+                assert {p + (0,) * (L - len(p)) for p in parts} == sorted_configs
+                assert _partition_count(N, L) == len(parts) == len(sorted_configs)
+
+    @given(
+        kind=st.sampled_from(sorted(DEFECT_FAMILIES)),
+        L=st.integers(1, 5),
+        N=st.integers(2, 12),
+        eps=st.floats(0.02, 0.6),
+        theta=st.floats(0.0, 3.0),
+        fg=st.sampled_from(list(itertools.product(sorted(FUNCTION_LIBRARY), repeat=2))),
+    )
+    @example(kind="w0_zero", L=4, N=6, eps=0.1, theta=0.5, fg=("p1", "p1*p2"))
+    @example(kind="gap", L=5, N=12, eps=0.1, theta=0.5, fg=("p1", "p1"))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_matches_composition_walk(self, kind, L, N, eps, theta, fg):
+        family, w = DEFECT_FAMILIES[kind]
+        # w(0) = 0 and w(n > 2) = 0 leave only L <= N <= 2L
+        assume(partition_function(w(L), L, N) > 0.0)
+        f, g = (FUNCTION_LIBRARY[name] for name in fg)
+        want = reference_defect(w(L), L, N, eps, theta, f, g)
+        got = reversibility_defect(family, L, N, eps, theta, f, g, mode="exact").defect
+        assert abs(got - want) <= 1e-12
+        if want == 0.0:
+            assert got == 0.0
+
+    def test_exact_past_composition_cap(self):
+        # 10,295,472 compositions but only 2,462 partitions
+        res = reversibility_defect(self.FAM, 8, 30, 0.1, 0.5, P1, P1_P2, mode="exact")
+        assert res.n == 2462
+        assert math.isfinite(res.defect)
+
+    def test_exact_zero_partition_function_rejected(self):
+        # w(n) = 0 for n > 2: three sites cannot hold seven particles
+        fam = WeightFamily.from_table([1.0, 1.0, 1.0])
+        with pytest.warns(UserWarning, match="exactly zero"):
+            with pytest.raises(ValueError, match="exactly zero"):
+                reversibility_defect(fam, 3, 7, 0.1, 0.5, P1, P1_P2, mode="exact")
+
+    def test_mc_groups_match_per_row_loop(self):
+        L, N, samples, chunk = 6, 12, 3000, 1000
+        res = reversibility_defect(
+            self.FAM, L, N, 0.1, 0.5, P1, P1_P2, mode="mc", samples=samples,
+            rng=SeededRng(4), chunk=chunk,
+        )
+        rng, table = SeededRng(4), cached_logz(self.FAM, L, N)
+        total = total_sq = 0.0
+        for _ in range(samples // chunk):
+            for row in sample_configurations(table, L, N, chunk, rng):
+                h = defect_integrand(0.5, N, 0.1, P1, P1_P2, row)
+                total += h
+                total_sq += h * h
+        mean = total / samples
+        stderr = math.sqrt((total_sq - samples * mean * mean) / (samples - 1) / samples)
+        assert res.defect == pytest.approx(mean, rel=1e-12)
+        assert res.stderr == pytest.approx(stderr, rel=1e-12)
 
     def test_mc_needs_samples(self):
         with pytest.raises(ValueError):
