@@ -30,7 +30,7 @@ from .ensembles import (
     save_logz_cache,
     tv_distance_marginal,
 )
-from .sampler import SeededRng, sample_configurations, to_partition, Configuration
+from .sampler import SeededRng, partition_masses, sample_configurations
 from .splitmerge import FUNCTION_LIBRARY, reversibility_defect, simulate
 from .partitions import OrderedPartition
 from .weights import WeightFamily, assumption_report
@@ -121,15 +121,12 @@ def cmd_sample(args, config: RunConfig) -> int:
     table = build_logz(family, args.L, args.N)
     rng = SeededRng(args.seed)
     occ = sample_configurations(table, args.L, args.N, args.count, rng)
-    lines = [" ".join(str(int(v)) for v in row) for row in occ]
+    lines = [" ".join(map(str, row)) for row in occ.tolist()]
     _write_text(out / "configurations.txt", config, "\n".join(lines) + "\n")
     if args.partitions:
         rows = ["sample,rank,mass"]
-        for s, row in enumerate(occ):
-            if row.sum() == 0:
-                continue
-            p = to_partition(Configuration(row))
-            rows += [f"{s},{r},{mass!r}" for r, mass in enumerate(p.masses, start=1)]
+        for s, masses in enumerate(partition_masses(occ)):
+            rows += [f"{s},{r},{mass!r}" for r, mass in enumerate(masses, start=1)]
         _write_text(out / "partitions.csv", config, "\n".join(rows) + "\n")
     return 0
 

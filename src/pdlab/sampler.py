@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ensembles import (
     LogZTable,
@@ -111,8 +112,12 @@ def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration
 def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> np.ndarray:
     """Vectorised draws: (count, L) array of exact canonical configurations.
 
-    The conditional rows are recomputed per (site, remaining-mass) group
-    rather than memoized, which keeps memory flat for large batches.
+    At each site one conditional-CDF matrix is built over the remainders r
+    present, columns n = 0..max r, with the cells n > r at zero mass, so a
+    row's cumulative sum equals the per-remainder one bit for bit.  Every lane
+    then takes the first n whose cumulative mass passes its uniform times the
+    row total, clamped to r, by a binary search over all lanes at once.
+    Memory is that matrix, never a (count, N + 1) array.
     """
     _check_cell(table, L, N)
     g = _as_generator(rng)
@@ -122,21 +127,37 @@ def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> 
     for x in range(L - 1):
         m = L - x
         us = g.random(count)
-        order = np.argsort(remaining, kind="stable")
-        rs = remaining[order]
-        uniq, starts = np.unique(rs, return_index=True)
-        bounds = np.append(starts, count)
-        for i, r in enumerate(uniq):
-            lanes = order[bounds[i] : bounds[i + 1]]
-            r = int(r)
-            if r == 0:
-                continue
-            logp = logw[: r + 1] + logz[m - 1, r::-1] - logz[m, r]
-            cum = np.cumsum(np.exp(logp))
-            ns = np.searchsorted(cum, us[lanes] * cum[-1], side="right")
-            ns = np.minimum(ns, r)
-            occ[lanes, x] = ns
-            remaining[lanes] -= ns
+        top = int(remaining.max())
+        if top == 0:
+            continue
+        width = top + 1
+        present = np.flatnonzero(np.bincount(remaining))
+        present = present[present > 0]
+        # lanes with r = 0 search row 0; the clamp to r below keeps them at 0
+        row_of = np.zeros(width, dtype=np.int64)
+        row_of[present] = np.arange(present.size)
+        # window top - r of the reversed row holds log Z_{m-1, r-n} for n <= r, then -inf;
+        # every window lies inside rest.  The fancy index copies the windows into one
+        # matrix and the cells are formed in place; addition commutes exactly, so each
+        # is (log w + log Z) - log Z bit for bit
+        rest = np.concatenate([logz[m - 1, top::-1], np.full(top, -np.inf)])
+        logp = as_strided(rest, (width, width), rest.strides * 2)[top - present]
+        logp += logw[:width]
+        logp -= logz[m, present][:, None]
+        cum = np.cumsum(np.exp(logp, out=logp), axis=1, out=logp).ravel()
+        start = row_of[remaining] * width
+        targets = us * cum[start + remaining]
+        # branch-free binary search for the first n with cum[n] > target: each
+        # probe stays inside the lane's row, where the cells past r repeat cum[r]
+        pos, size = start, width
+        while size > 1:
+            half = size // 2
+            probe = pos + half
+            pos = np.where(cum[probe] <= targets, probe, pos)
+            size -= half
+        ns = np.minimum(pos - start + (cum[pos] <= targets), remaining)
+        occ[:, x] = ns
+        remaining -= ns
     occ[:, L - 1] = remaining
     _check_draws(table, occ, N)
     return occ
@@ -170,13 +191,22 @@ def sample_size_biased_blocks(table: LogZTable, L: int, N: int, count: int, rng)
 
 def to_partition(eta: Configuration) -> OrderedPartition:
     """Rescale a configuration to the ordered partition of its mass."""
-    n_total = eta.N
-    if n_total == 0:
+    if eta.N == 0:
         warnings.warn("empty configuration maps to the empty partition", stacklevel=2)
         return OrderedPartition.from_masses([])
-    desc = np.sort(eta.occupations)[::-1]
-    desc = desc[desc > 0]
-    return OrderedPartition(tuple((desc / n_total).tolist()))
+    return OrderedPartition(tuple(partition_masses(eta.occupations[None, :])[0]))
+
+
+def partition_masses(occ: np.ndarray) -> list[list[float]]:
+    """Descending positive masses of each row of a (count, L) array over its row total.
+
+    A row of total zero gives an empty list.
+    """
+    desc = np.sort(occ, axis=1)[:, ::-1]
+    sizes = (desc > 0).sum(axis=1)
+    desc = desc[:, : sizes.max()]
+    masses = (desc / np.maximum(desc.sum(axis=1, keepdims=True), 1)).tolist()
+    return [row[:k] for row, k in zip(masses, sizes.tolist())]
 
 
 def zero_fraction_stats(table: LogZTable, L: int, N: int) -> DiagnosticsReport:

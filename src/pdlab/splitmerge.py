@@ -11,9 +11,11 @@ for the convergence and reversibility diagnostics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -381,8 +383,17 @@ class SplitMergeState:
     splits: int
 
 
+def _first_above(cum: list[float], x: float) -> int:
+    """First index whose running sum exceeds x, clamped to the last index."""
+    return min(bisect_right(cum, x), len(cum) - 1)
+
+
 class _SplitMergeCore:
-    """Mutable block list with the running split/merge event kernel."""
+    """Mutable block list with the running split/merge event kernel.
+
+    Picks invert running sums of the Python block list by binary search, the
+    direct method of Gillespie with no NumPy call per event.
+    """
 
     def __init__(self, masses, theta: float):
         self.blocks = [float(v) for v in masses if v > 0.0]
@@ -404,38 +415,42 @@ class _SplitMergeCore:
         merge_rate = max(self.s1 * self.s1 - self.s2, 0.0)
         split_rate = self.theta * self.s2
         total = merge_rate + split_rate
-        if total <= 0.0 or len(self.blocks) == 0:
+        blocks = self.blocks
+        if total <= 0.0 or len(blocks) == 0:
             return math.inf
         dt = g.exponential(1.0 / total)
-        arr = np.asarray(self.blocks)
         if g.random() * total < merge_rate:
-            cum = np.cumsum(arr)
+            cum = list(accumulate(blocks))
             while True:
-                i = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
-                j = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
-                i = min(i, arr.size - 1)
-                j = min(j, arr.size - 1)
+                i = _first_above(cum, g.random() * cum[-1])
+                j = _first_above(cum, g.random() * cum[-1])
                 if i != j:
                     break
-            vi, vj = self.blocks[i], self.blocks[j]
+            vi, vj = blocks[i], blocks[j]
             self.s2 += 2.0 * vi * vj
-            self.blocks[i] = vi + vj
-            del self.blocks[j]
+            # a rounded sum may pass the total; no block may hold more than all of it
+            blocks[i] = min(vi + vj, self.s1)
+            del blocks[j]
             self.merges += 1
         else:
-            cum2 = np.cumsum(arr * arr)
-            i = int(np.searchsorted(cum2, g.random() * cum2[-1], side="right"))
-            i = min(i, arr.size - 1)
+            cum2 = list(accumulate(v * v for v in blocks))
+            i = _first_above(cum2, g.random() * cum2[-1])
             while True:
                 u = g.random()
                 if 0.0 < u < 1.0:
                     break
-            v = self.blocks[i]
+            v = blocks[i]
             self.s2 -= 2.0 * u * (1.0 - u) * v * v
-            self.blocks[i] = u * v
-            piece = (1.0 - u) * v
+            # round the larger piece, subtract it from v exactly (Sterbenz): the pieces sum to v
+            if u >= 0.5:
+                stay = u * v
+                piece = v - stay
+            else:
+                piece = (1.0 - u) * v
+                stay = v - piece
+            blocks[i] = stay
             if piece > 0.0:
-                self.blocks.append(piece)
+                blocks.append(piece)
             self.splits += 1
         self._events_since_refresh += 1
         return dt
@@ -459,7 +474,12 @@ def simulate(
     """Event-driven split-merge trajectory started from p0.
 
     Records the state at each requested sample time (and at t_max when no
-    times are given).  Total mass is conserved by both moves.
+    times are given).  A split rounds its larger piece and stores the other
+    as the block minus it, a subtraction that is exact by Sterbenz's lemma,
+    so the two pieces sum to the block exactly.  A merge rounds the sum of
+    its blocks and clamps it at the initial total, so no block ever holds
+    more than the total; the only drift left is that rounding, half an ulp
+    per merge at most.
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")

@@ -7,6 +7,12 @@ library's rescaled linear-space kernel: an (N+1)x(N+1) log-sum-exp matrix per
 row, which never underflows.  The reference reversibility defect walks every
 configuration with the library's lattice generator, so it checks how the
 library groups and weights configurations, not the generator itself.
+
+The last two oracles are the NumPy forms of the two hot loops, kept as the
+code the loop-free versions must reproduce bit for bit: the batch sampler
+with one cumsum and searchsorted per (site, remainder) group, and the
+split-merge event step with a cumsum and searchsorted over an array of the
+blocks on every event.
 """
 
 from __future__ import annotations
@@ -140,3 +146,99 @@ def log_space_grid(logw: np.ndarray, L: int) -> np.ndarray:
     for l in range(2, L + 1):
         grid[l] = log_convolve_row(grid[l - 1], logw)
     return grid
+
+
+def sample_configurations_by_group(logz: np.ndarray, logw: np.ndarray, L: int, N: int, count: int, g):
+    """Batch canonical draws, one conditional row per (site, remainder) group."""
+    occ = np.zeros((count, L), dtype=np.int64)
+    remaining = np.full(count, N, dtype=np.int64)
+    for x in range(L - 1):
+        m = L - x
+        us = g.random(count)
+        order = np.argsort(remaining, kind="stable")
+        uniq, starts = np.unique(remaining[order], return_index=True)
+        bounds = np.append(starts, count)
+        for i, r in enumerate(uniq):
+            lanes = order[bounds[i] : bounds[i + 1]]
+            r = int(r)
+            if r == 0:
+                continue
+            logp = logw[: r + 1] + logz[m - 1, r::-1] - logz[m, r]
+            cum = np.cumsum(np.exp(logp))
+            ns = np.searchsorted(cum, us[lanes] * cum[-1], side="right")
+            ns = np.minimum(ns, r)
+            occ[lanes, x] = ns
+            remaining[lanes] -= ns
+    occ[:, L - 1] = remaining
+    return occ
+
+
+def searchsorted_pick(weights, x: float) -> int:
+    """First index whose cumulative weight exceeds x, clamped to the last index."""
+    cum = np.cumsum(np.asarray(weights, dtype=float))
+    return min(int(np.searchsorted(cum, x, side="right")), cum.size - 1)
+
+
+class NumpySplitMergeCore:
+    """Split-merge event step over a NumPy array of the blocks.
+
+    Same rates, stream calls and mass arithmetic as the library's core: a
+    split rounds its larger piece and subtracts it from the block, a merge
+    is clamped at the initial total.
+    """
+
+    def __init__(self, masses, theta: float):
+        self.blocks = [float(v) for v in masses if v > 0.0]
+        self.theta = float(theta)
+        self.s1 = float(sum(self.blocks))
+        self.s2 = float(sum(v * v for v in self.blocks))
+        self.merges = self.splits = 0
+        self._events_since_refresh = 0
+
+    def step(self, g) -> float:
+        if self._events_since_refresh >= 4096:
+            self.s2 = float(sum(v * v for v in self.blocks))
+            self._events_since_refresh = 0
+        merge_rate = max(self.s1 * self.s1 - self.s2, 0.0)
+        split_rate = self.theta * self.s2
+        total = merge_rate + split_rate
+        if total <= 0.0 or len(self.blocks) == 0:
+            return math.inf
+        dt = g.exponential(1.0 / total)
+        arr = np.asarray(self.blocks)
+        if g.random() * total < merge_rate:
+            cum = np.cumsum(arr)
+            while True:
+                i = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
+                j = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
+                i = min(i, arr.size - 1)
+                j = min(j, arr.size - 1)
+                if i != j:
+                    break
+            vi, vj = self.blocks[i], self.blocks[j]
+            self.s2 += 2.0 * vi * vj
+            self.blocks[i] = min(vi + vj, self.s1)
+            del self.blocks[j]
+            self.merges += 1
+        else:
+            cum2 = np.cumsum(arr * arr)
+            i = int(np.searchsorted(cum2, g.random() * cum2[-1], side="right"))
+            i = min(i, arr.size - 1)
+            while True:
+                u = g.random()
+                if 0.0 < u < 1.0:
+                    break
+            v = self.blocks[i]
+            self.s2 -= 2.0 * u * (1.0 - u) * v * v
+            if u >= 0.5:
+                stay = u * v
+                piece = v - stay
+            else:
+                piece = (1.0 - u) * v
+                stay = v - piece
+            self.blocks[i] = stay
+            if piece > 0.0:
+                self.blocks.append(piece)
+            self.splits += 1
+        self._events_since_refresh += 1
+        return dt

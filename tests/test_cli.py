@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pdlab import SeededRng, WeightFamily, build_logz, sample_configurations
 from pdlab.cli import main
 
 
@@ -81,6 +82,31 @@ class TestSample:
         assert len(rows) == 13
         assert all(sum(map(int, r.split())) == 7 for r in rows)
 
+    @pytest.mark.parametrize("N", [0, 14])
+    def test_files_match_per_row_formatting(self, tmp_path, bulk_family, N):
+        # the files as the per-row loop wrote them: str(int(v)) per entry, and
+        # one sort, cut and division per configuration of positive mass
+        L, count = 9, 400
+        out = tmp_path / "o"
+        run("--family", bulk_family, "--seed", "7", "--out", str(out),
+            "sample", "--L", str(L), "--N", str(N), "--count", str(count), "--partitions")
+        family = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
+        occ = sample_configurations(build_logz(family, L, N), L, N, count, SeededRng(7))
+        lines = [" ".join(str(int(v)) for v in row) for row in occ]
+        rows = ["sample,rank,mass"]
+        for s, row in enumerate(occ):
+            if row.sum() == 0:
+                continue
+            desc = np.sort(row)[::-1]
+            desc = desc[desc > 0]
+            masses = (desc / int(row.sum())).tolist()
+            rows += [f"{s},{r},{mass!r}" for r, mass in enumerate(masses, start=1)]
+        for name, body in (("configurations.txt", lines), ("partitions.csv", rows)):
+            text = (out / name).read_text()
+            header = "".join(line + "\n" for line in text.splitlines()[:2])
+            assert header.startswith("# pdlab")
+            assert text == header + "\n".join(body) + "\n"
+
     def test_zero_partition_function_exits_2(self, tmp_path, capsys):
         family = tmp_path / "t111.json"
         family.write_text(json.dumps({"kind": "table", "weights": [1, 1, 1]}))
@@ -113,6 +139,18 @@ class TestSplitMerge:
         last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, abs=1e-12)
         assert int(last[6]) == 0
+
+    def test_seed_76_mass_stays_bounded(self, tmp_path):
+        # this run once wrote p1 = 1 + 4.2e-15: splits then lost no mass to
+        # rounding, but merges could still add it up past the total
+        out = tmp_path / "o"
+        run("--seed", "76", "--out", str(out), "splitmerge", "--theta", "1",
+            "--t-max", "20000", "--records", "500")
+        rows = [line.split(",") for line in (out / "trajectory.csv").read_text().splitlines()[3:]]
+        assert len(rows) == 500
+        for row in rows:
+            assert float(row[1]) <= 1.0
+            assert 0.0 < float(row[4]) <= 1.0
 
     def test_seed_reproducibility(self, tmp_path):
         outs = []

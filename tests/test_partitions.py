@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from pdlab import (
     OrderedPartition,
@@ -16,6 +17,7 @@ from pdlab import (
     stick_breaking,
     stick_breaking_batch,
 )
+from pdlab.partitions import positive_size_biased_first_batch
 
 
 masses_strategy = st.lists(
@@ -197,6 +199,26 @@ class TestPositiveSizeBiased:
         q = positive_size_biased(p, 3, SeededRng(18))
         assert all(v > 0 for v in q.values)
         assert sorted(q.values, reverse=True) == [0.3, 0.2, 0.1]
+
+
+class TestPositiveSizeBiasedFirstBatch:
+    def test_pick_law_chi_square(self):
+        # three row patterns of distinct masses, totals below 1, one zero entry each
+        patterns = np.array([
+            [0.1, 0.0, 0.3, 0.2],
+            [0.05, 0.4, 0.15, 0.0],
+            [0.0, 0.25, 0.25 + 1e-3, 0.5],
+        ])
+        reps = 20_000
+        masses = np.repeat(patterns, reps, axis=0)
+        picked = positive_size_biased_first_batch(masses, SeededRng(31).generator)
+        for k, row in enumerate(patterns):
+            got = picked[k * reps : (k + 1) * reps]
+            positive = row[row > 0]
+            assert np.isin(got, positive).all()
+            counts = np.array([(got == v).sum() for v in positive])
+            result = stats.chisquare(counts, reps * positive / positive.sum())
+            assert result.pvalue > 1e-3
 
 
 class TestNorms:

@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdlab import (
     Configuration,
@@ -23,7 +25,7 @@ from pdlab import (
     zero_fraction_stats,
 )
 
-from oracle import config_law, table_weight
+from oracle import config_law, sample_configurations_by_group, table_weight
 
 TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
@@ -47,6 +49,17 @@ class _AlwaysNearOne:
         def random(size=None):
             u = 1.0 - 2.0**-53
             return u if size is None else np.full(size, u)
+
+
+class _ConstantStream:
+    """Stand-in stream whose every uniform is u."""
+
+    def __init__(self, u):
+        self.u = u
+        self.generator = self
+
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 class TestSeededRng:
@@ -169,6 +182,71 @@ class TestScalarPath:
         t = build_logz(BULK, 3, 4)
         with pytest.raises(ValueError, match="explicit seeded generator"):
             sample_configurations(t, 3, 4, 5, rng=None)
+
+
+class TestBatchMatchesGroupLoop:
+    """The one-matrix-per-site batch draw against the per-remainder loop it replaced."""
+
+    @given(
+        cell=st.sampled_from(sorted(EDGE_CELLS)),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.sampled_from([1, 2, 5, 64, 500]),
+    )
+    @example(cell="table_1e-200_1", seed=0, count=1)
+    @example(cell="gap", seed=76, count=500)
+    @settings(max_examples=30, deadline=None)
+    def test_draws_equal_group_loop(self, cell, seed, count):
+        fam, L, N = EDGE_CELLS[cell]
+        t = build_logz(fam, L, N)
+        got_rng, want_rng = SeededRng(seed), SeededRng(seed)
+        got = sample_configurations(t, L, N, count, got_rng)
+        want = sample_configurations_by_group(t.logz, t.log_w, L, N, count, want_rng.generator)
+        assert np.array_equal(got, want)
+        # both read one uniform per lane and site, so the streams stay in step
+        assert got_rng.generator.random() == want_rng.generator.random()
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
+    def test_rounded_up_targets_clamp_like_group_loop(self, cell):
+        # u just below 1 can round u * cum[r] up to cum[r]; both must take r
+        fam, L, N = cell
+        t = build_logz(fam, L, N)
+        got = sample_configurations(t, L, N, 3, _AlwaysNearOne())
+        want = sample_configurations_by_group(t.logz, t.log_w, L, N, 3, _AlwaysNearOne.generator)
+        assert np.array_equal(got, want)
+
+    def test_uniform_on_a_partial_sum_moves_past_it(self):
+        # table [1, 1] at (2, 1): p = (1/2, 1/2), and u = 1/2 lands on cum[0]
+        # exactly; "first n with cum > u" is n = 1 on both paths
+        t = build_logz(WeightFamily.from_table([1.0, 1.0]), 2, 1)
+        got = sample_configurations(t, 2, 1, 4, _ConstantStream(0.5))
+        want = sample_configurations_by_group(t.logz, t.log_w, 2, 1, 4, _ConstantStream(0.5))
+        assert np.array_equal(got, want)
+        assert got.tolist() == [[1, 0]] * 4
+
+    def test_row_that_underflows_takes_r(self):
+        # a grid whose row L-2 is e^1000 times too small makes every second-site
+        # row underflow to zero: cum[r] = 0 = u * cum[r], and the clamp hands
+        # the lane its whole remainder r, never more
+        L, N = 6, 10
+        t = build_logz(INCLUSION, L, N)
+        logz = t.logz.copy()
+        logz[L - 2] -= 1e3
+        t = dataclasses.replace(t, logz=logz)
+        got = sample_configurations(t, L, N, 500, SeededRng(8))
+        want = sample_configurations_by_group(t.logz, t.log_w, L, N, 500, SeededRng(8).generator)
+        assert np.array_equal(got, want)
+        assert (got[:, 2:].sum(axis=1) == 0).all() and (got[:, 0] < N).any()
+
+    def test_lanes_that_run_out_early_stay_equal(self):
+        # w(0) = 1e-200 at 12 sites and 7 particles: lanes spend their mass
+        # before the last sites, so later sites mix r = 0 lanes with others
+        fam, L, N = EDGE_CELLS["table_1e-200_1"]
+        t = build_logz(fam, L, N)
+        got = sample_configurations(t, L, N, 2_000, SeededRng(3))
+        want = sample_configurations_by_group(t.logz, t.log_w, L, N, 2_000, SeededRng(3).generator)
+        assert np.array_equal(got, want)
+        spent_early = got[:, : L - 2].sum(axis=1) == N
+        assert spent_early.any() and not spent_early.all()
 
 
 class TestSizeBiasedBlocks:

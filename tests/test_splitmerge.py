@@ -37,15 +37,17 @@ from pdlab import (
     time_averaged_l2,
 )
 from pdlab.ensembles import cached_logz
-from pdlab.splitmerge import _partition_count, _partitions
+from pdlab.splitmerge import _SplitMergeCore, _first_above, _partition_count, _partitions
 
 from oracle import (
+    NumpySplitMergeCore,
     bulk_tail_weight,
     defect_integrand,
     enumerate_configs,
     inclusion_weight,
     partition_function,
     reference_defect,
+    searchsorted_pick,
     table_weight,
 )
 
@@ -321,6 +323,66 @@ class TestSimulate:
         assert abs(avgs.mean() - 1.0 / (1.0 + theta)) < 4 * se
 
 
+class TestEventLoop:
+    """The Python-list event step against the NumPy step it replaced."""
+
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 0.125, 0.25, 0.3, 1.0, 1e-300, 7.0]), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pick_matches_searchsorted(self, weights, data):
+        cum = list(itertools.accumulate(weights))
+        # a partial sum exactly, a point inside the range, the total and past it
+        x = data.draw(
+            st.one_of(
+                st.sampled_from([0.0, *cum]),
+                st.floats(0.0, cum[-1]),
+                st.floats(cum[-1], 2.0 * cum[-1] + 1.0),
+            )
+        )
+        assert _first_above(cum, x) == searchsorted_pick(weights, x)
+
+    def test_pick_skips_zero_mass_and_clamps(self):
+        cum = list(itertools.accumulate([0.0, 0.5, 0.0, 0.5]))
+        assert _first_above(cum, 0.0) == 1
+        assert _first_above(cum, 0.5) == 3
+        assert _first_above(cum, 1.0) == 3
+        assert _first_above(cum, 5.0) == 3
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("masses", [[1.0], [0.4, 0.2], [0.5, 0.25, 0.125, 0.0625]])
+    def test_states_equal_numpy_step(self, theta, masses):
+        for seed in range(4):
+            core, ref = _SplitMergeCore(masses, theta), NumpySplitMergeCore(masses, theta)
+            g, g_ref = SeededRng(seed).generator, SeededRng(seed).generator
+            for _ in range(5_000):
+                dt = core.step(g)
+                assert dt == ref.step(g_ref)
+                assert core.blocks == ref.blocks
+                if math.isinf(dt):
+                    break
+            assert (core.merges, core.splits, core.s2) == (ref.merges, ref.splits, ref.s2)
+
+    def test_splits_keep_the_exact_total(self):
+        # pieces are stored as v - (rounded larger piece): their sum is v exactly,
+        # so the exactly rounded sum of all blocks never moves on a split
+        core = _SplitMergeCore([0.3, 0.1], 1.0)
+        g = SeededRng(12).generator
+        for _ in range(2_000):
+            before, splits = math.fsum(core.blocks), core.splits
+            core.step(g)
+            if core.splits > splits:
+                assert math.fsum(core.blocks) == before
+
+    def test_merges_never_pass_the_total(self):
+        g = SeededRng(76).generator
+        core = _SplitMergeCore([0.4, 0.2], 1.0)
+        for _ in range(20_000):
+            core.step(g)
+            assert max(core.blocks) <= core.s1
+
+
 class TestLiftedMoves:
     def test_merge_example(self):
         eta = Configuration(np.array([2, 3]))
@@ -441,6 +503,15 @@ class TestReversibilityDefect:
         mc = reversibility_defect(
             self.FAM, 3, 6, 0.1, 0.5, P1, P1_P2, mode="mc", samples=40_000, rng=SeededRng(9)
         )
+        assert abs(mc.defect - exact.defect) < 3 * mc.stderr
+
+    def test_mc_cross_validates_exact_at_10_40(self):
+        # the largest cell exact mode reaches in seconds: 16,928 partitions
+        exact = reversibility_defect(self.FAM, 10, 40, 0.1, 0.5, P1, P1_P2, mode="exact")
+        mc = reversibility_defect(
+            self.FAM, 10, 40, 0.1, 0.5, P1, P1_P2, mode="mc", samples=20_000, rng=SeededRng(40)
+        )
+        assert exact.n == 16_928
         assert abs(mc.defect - exact.defect) < 3 * mc.stderr
 
     def test_exact_cap_enforced(self):
