@@ -103,52 +103,6 @@ def _leading(arr: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def _merge_tops(arr: np.ndarray, i: int, j: int, m: int) -> list[float]:
-    """Leading m entries after merging blocks i and j of a descending array."""
-    v = arr[i] + arr[j]
-    out: list[float] = []
-    placed = False
-    for t in range(arr.size):
-        if len(out) >= m:
-            break
-        if t == i or t == j:
-            continue
-        val = float(arr[t])
-        if not placed and v >= val:
-            out.append(v)
-            placed = True
-            if len(out) >= m:
-                break
-        out.append(val)
-    if not placed and len(out) < m:
-        out.append(v)
-    out.extend(0.0 for _ in range(m - len(out)))
-    return out[:m]
-
-
-def _split_tops(others: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """Leading m entries after replacing a block by pieces a, b (vectorised)."""
-    cands = np.empty((a.size, m + 2))
-    cands[:, :m] = others[None, :]
-    cands[:, m] = a
-    cands[:, m + 1] = b
-    cands.sort(axis=1)
-    return cands[:, ::-1][:, :m]
-
-
-def _others_leading(arr: np.ndarray, skip: int, m: int) -> np.ndarray:
-    out = np.zeros(m)
-    pos = 0
-    for t in range(arr.size):
-        if t == skip:
-            continue
-        out[pos] = arr[t]
-        pos += 1
-        if pos == m:
-            break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # elementary moves
 # ---------------------------------------------------------------------------
@@ -196,7 +150,8 @@ def _panel_points(lo: float, hi: float, breaks, nodes: int):
     """
     x, w = _gauss_legendre(nodes)
     pts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
-    us, ws = [], []
+    # a block of exactly 2 eps has lo == hi: no panel, no split point
+    us, ws = [np.empty(0)], [np.empty(0)]
     for a, b in zip(pts, pts[1:]):
         if b - a <= 0:
             continue
@@ -205,34 +160,58 @@ def _panel_points(lo: float, hi: float, breaks, nodes: int):
     return np.concatenate(us), np.concatenate(ws)
 
 
-def _merge_sum(arr: np.ndarray, fs, base, eps: float) -> list[float]:
-    """sum over ordered pairs of p_i p_j [f(merged) - f(p)], cut at eps (none when eps = 0)."""
+@lru_cache(maxsize=64)
+def _pair_indices(k: int):
+    """Index pairs i < j of k blocks; np.triu_indices costs more than a merge sum."""
+    i, j = np.triu_indices(k, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _tops_after(arr, drop_i, drop_j, new_a, new_b, m: int) -> np.ndarray:
+    """Leading m entries after each row's move, as a (rows, m) array.
+
+    Row r removes blocks drop_i[r] and drop_j[r] of the descending array arr
+    (a split drops the same index twice) and adds new_a[r] and new_b[r].  At
+    most two blocks leave, so the leading m entries after the move are among
+    the first m + 2 blocks and the two new values: m + 4 candidates per row.
+    """
+    cands = np.empty((drop_i.size, m + 4))
+    cands[:, : m + 2] = _leading(arr, m + 2)
+    rows = np.arange(drop_i.size)
+    # a drop past the first m + 2 blocks zeroes column m + 2, which new_a then fills
+    cands[rows, np.minimum(drop_i, m + 2)] = 0.0
+    cands[rows, np.minimum(drop_j, m + 2)] = 0.0
+    cands[:, m + 2] = new_a
+    cands[:, m + 3] = new_b
+    cands.sort(axis=1)
+    return cands[:, ::-1][:, :m]
+
+
+def _move_sum(arr, fs, eps: float, merge_scale: float, block, piece, weight):
+    """Sum over moves of weight * [f(p after the move) - f(p)], for each f in fs.
+
+    arr holds the masses in descending order.  Row 0 is the null move, of
+    weight 0, whose value is f(p).  Merge rows join each pair of blocks >= eps
+    (every positive block when eps = 0), weight merge_scale * 2 p_i p_j.
+    Split row r replaces block[r] by piece[r] and arr[block[r]] - piece[r],
+    weight weight[r].  Returns (applied values, base values f(p)).
+    """
     m = max(f.depends_on for f in fs)
-    if eps > 0.0:
-        idxs = np.nonzero(arr >= eps - LATTICE_TOL)[0]
-    else:
-        idxs = np.nonzero(arr > 0.0)[0]
-    pairs = [(i, j) for a, i in enumerate(idxs) for j in idxs[a + 1 :]]
-    if not pairs:
-        return [0.0 for _ in fs]
-    tops = np.array([_merge_tops(arr, i, j, m) for i, j in pairs])
-    wts = np.array([2.0 * arr[i] * arr[j] for i, j in pairs])
-    return [float(np.dot(wts, f.evaluate_tops(tops) - b)) for f, b in zip(fs, base)]
-
-
-def _split_integral(arr, i, f_list, nodes, lo, hi):
-    """integral over u in [lo, hi] of f(partition with block i split at u), per f."""
-    m = max(f.depends_on for f in f_list)
-    v = float(arr[i])
-    others_all = np.delete(arr, i)
-    breaks = {0.5}
-    for q in others_all:
-        if 0 < q < v:
-            breaks.add(q / v)
-            breaks.add(1.0 - q / v)
-    us, ws = _panel_points(lo, hi, breaks, nodes)
-    tops = _split_tops(_leading(others_all, m), us * v, (1.0 - us) * v, m)
-    return [float(np.dot(ws, f.evaluate_tops(tops))) for f in f_list]
+    big = np.flatnonzero(arr >= eps - LATTICE_TOL) if eps > 0.0 else np.flatnonzero(arr > 0.0)
+    pi, pj = (big[t] for t in _pair_indices(big.size))
+    null = np.array([arr.size])
+    tops = _tops_after(
+        arr,
+        np.concatenate((null, pi, block)),
+        np.concatenate((null, pj, block)),
+        np.concatenate(([0.0], arr[pi] + arr[pj], piece)),
+        np.concatenate((np.zeros(1 + pi.size), arr[block] - piece)),
+        m,
+    )
+    wts = np.concatenate(([0.0], 2.0 * merge_scale * arr[pi] * arr[pj], weight))
+    vals = [f.evaluate_tops(tops) for f in fs]
+    return [float(np.dot(wts, v - v[0])) for v in vals], [float(v[0]) for v in vals]
 
 
 def _one_block_monomial_split(theta: float, v: float, f: CylinderFunction) -> float:
@@ -285,69 +264,63 @@ def cutoff_generator_apply(
     Merges only pairs with both blocks >= eps; splits only blocks >= 2 eps and
     only into pieces >= eps, i.e. the split integral runs over u in
     [eps/p_i, 1 - eps/p_i] of f(split at u) - f(p).  eps = 0 is the full
-    generator.
+    generator.  The split points are Gauss-Legendre nodes u_k, weights w_k,
+    on panels broken where a piece passes another block; split row (i, u_k)
+    has weight theta p_i^2 w_k.
     """
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
     arr = p.as_array()
-    if arr.size == 0:
-        return 0.0
-    base = [f(p)]
-    merge_part = _merge_sum(arr, (f,), base, eps=eps)[0]
-    split_part = 0.0
+    blocks, pieces, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
     if theta != 0.0:
-        for i in range(arr.size):
-            v = float(arr[i])
+        vals = p.masses
+        for i, v in enumerate(vals):
             if v < 2 * eps:
                 continue
-            lo = eps / v
-            integral = _split_integral(arr, i, (f,), quadrature_nodes, lo=lo, hi=1.0 - lo)[0]
-            split_part += v * v * (integral - (1.0 - 2.0 * lo) * base[0])
-    return merge_part + theta * split_part
+            # a piece passes another block q where u = q / v or 1 - q / v
+            ratios = [q / v for q in vals if q < v]
+            breaks = {0.5, *ratios, *(1.0 - r for r in ratios)}
+            us, ws = _panel_points(eps / v, 1.0 - eps / v, breaks, quadrature_nodes)
+            blocks.append(np.full(us.size, i))
+            # the larger piece, so that v minus it is exact (Sterbenz) and the pieces sum to v
+            pieces.append(np.maximum(us, 1.0 - us) * v)
+            weights.append(theta * v * v * ws)
+    applied, _ = _move_sum(
+        arr, (f,), eps, 1.0, np.concatenate(blocks), np.concatenate(pieces), np.concatenate(weights)
+    )
+    return applied[0]
 
 
 def _lattice_check(arr: np.ndarray, N: int) -> np.ndarray:
     counts = np.rint(arr * N)
-    if np.max(np.abs(arr * N - counts)) > LATTICE_TOL:
+    if np.max(np.abs(arr * N - counts), initial=0.0) > LATTICE_TOL:
         raise ValueError("partition masses must be multiples of 1/N")
     return counts.astype(np.int64)
 
 
-def _discrete_apply_many(theta, N, eps, arr, fs):
-    """Lattice generator applied to several test functions at once.
+def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
+    """Lattice generator on descending particle counts, for each f in fs.
 
-    Returns (applied values, base values f(p)).
+    Masses are counts / N; trailing zero counts are allowed.  Split row
+    (i, k) moves k particles of block i to a new block, for k from
+    ceil(eps N) to floor(c_i - eps N), with weight theta p_i / (N - 1);
+    merges carry the factor N / (N - 1).  Returns (applied values, base
+    values f(p)).
     """
-    counts = _lattice_check(arr, N)
-    m = max(f.depends_on for f in fs)
-    tops0 = _leading(arr, m)
-    base = [float(f.evaluate_tops(tops0[None, :])[0]) for f in fs]
-
-    merge_parts = _merge_sum(arr, fs, base, eps=eps)
-
-    split_parts = [0.0 for _ in fs]
-    if theta != 0.0:
-        eps_n = eps * N
-        for i in range(arr.size):
-            if arr[i] < 2 * eps - LATTICE_TOL:
-                continue
-            c = int(counts[i])
-            klo = max(1, int(math.ceil(eps_n - LATTICE_TOL)))
-            khi = min(c - 1, int(math.floor(c - eps_n + LATTICE_TOL)))
-            if khi < klo:
-                continue
-            k = np.arange(klo, khi + 1, dtype=float)
-            a = k / N
-            b = arr[i] - a
-            tops = _split_tops(_others_leading(arr, i, m), a, b, m)
-            for t, f in enumerate(fs):
-                vals = f.evaluate_tops(tops)
-                split_parts[t] += float(arr[i]) * float(np.sum(vals - base[t]))
-
-    scale_merge = N / (N - 1)
-    scale_split = theta / (N - 1)
-    applied = [scale_merge * mp + scale_split * sp for mp, sp in zip(merge_parts, split_parts)]
-    return applied, base
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
+    if N < 2:
+        raise ValueError("N must be >= 2")
+    if not theta >= 0.0:
+        raise ValueError("theta must be >= 0")
+    arr = counts / N
+    block = np.flatnonzero((arr >= 2 * eps - LATTICE_TOL) & (theta != 0.0))
+    k_lo = max(1, math.ceil(eps * N - LATTICE_TOL))
+    c = counts[block]
+    k_hi = np.minimum(c - 1, np.floor(c - eps * N + LATTICE_TOL))
+    row, col = np.nonzero(np.arange(k_lo, N) <= k_hi[:, None])
+    block, k = block[row], k_lo + col
+    return _move_sum(arr, fs, eps, N / (N - 1), block, k / N, theta / (N - 1) * arr[block])
 
 
 def discrete_generator_apply(
@@ -359,14 +332,7 @@ def discrete_generator_apply(
     act on blocks >= 2 eps and enumerate lattice split points k from
     ceil(eps N) to floor(N (p_i - eps)).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    arr = p.as_array()
-    if arr.size == 0:
-        return 0.0
-    applied, _ = _discrete_apply_many(theta, N, eps, arr, (f,))
+    applied, _ = _lattice_apply(theta, N, eps, _lattice_check(p.as_array(), N), (f,))
     return applied[0]
 
 
@@ -396,9 +362,13 @@ class _SplitMergeCore:
     """
 
     def __init__(self, masses, theta: float):
+        if theta < 0.0:
+            raise ValueError("theta must be >= 0")
         self.blocks = [float(v) for v in masses if v > 0.0]
         self.theta = float(theta)
         self.s1 = float(sum(self.blocks))
+        if not 0.0 < self.s1 <= 1.0 + 1e-12:
+            raise ValueError("initial mass must lie in (0, 1]")
         self.s2 = float(sum(v * v for v in self.blocks))
         self.merges = 0
         self.splits = 0
@@ -483,10 +453,6 @@ def simulate(
     """
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    if theta < 0.0:
-        raise ValueError("theta must be >= 0")
-    if not 0.0 < p0.total <= 1.0 + 1e-12:
-        raise ValueError("initial mass must lie in (0, 1]")
     g = _as_generator(rng)
     times = sorted(float(t) for t in sample_times)
     if not times:
@@ -682,12 +648,6 @@ def _partitions(n: int, parts: int, largest: int):
             yield (head, *rest)
 
 
-def _partition_array(row: np.ndarray, N: int) -> np.ndarray:
-    desc = np.sort(row)[::-1]
-    desc = desc[desc > 0]
-    return desc.astype(float) / N
-
-
 def reversibility_defect(
     family: WeightFamily,
     L: int,
@@ -723,8 +683,8 @@ def reversibility_defect(
         "g": g.label or "g",
     }
 
-    def h_value(row: np.ndarray) -> float:
-        applied, base = _discrete_apply_many(theta, N, eps, _partition_array(row, N), (f, g))
+    def h_value(counts: np.ndarray) -> float:
+        applied, base = _lattice_apply(theta, N, eps, counts, (f, g))
         return base[0] * applied[1] - base[1] * applied[0]
 
     if mode == "exact":
@@ -767,7 +727,7 @@ def reversibility_defect(
         # rows field by field and costs more than the draws on wide rows
         groups = Counter(map(bytes, np.sort(occ, axis=1)))
         for key, count in groups.items():
-            h = h_value(np.frombuffer(key, dtype=occ.dtype))
+            h = h_value(np.frombuffer(key, dtype=occ.dtype)[::-1])
             total += count * h
             total_sq += count * h * h
         done += take

@@ -4,9 +4,14 @@ Kept deliberately independent of the library's convolution machinery — plain
 floating-point products over stars-and-bars enumerations — so agreement is a
 real two-route check.  The log-space grid at the end is the reference for the
 library's rescaled linear-space kernel: an (N+1)x(N+1) log-sum-exp matrix per
-row, which never underflows.  The reference reversibility defect walks every
-configuration with the library's lattice generator, so it checks how the
-library groups and weights configurations, not the generator itself.
+row, which never underflows.
+
+The lattice and cutoff generators are kept here in their per-block form:
+merges one pair at a time by a Python scan, splits block by block with the
+other blocks' leading entries re-read for each.  The library sums every move
+in one batch; these are the reference it must match, and the reference
+reversibility defect walks every configuration with the per-block lattice
+generator.
 
 The last two oracles are the NumPy forms of the two hot loops, kept as the
 code the loop-free versions must reproduce bit for bit: the batch sampler
@@ -77,12 +82,148 @@ def config_law(w, L: int, N: int) -> dict[tuple, float]:
     return {c: weight_of(c, w) / z for c in enumerate_configs(L, N)}
 
 
+LATTICE_TOL = 1e-9
+
+
+def leading(arr: np.ndarray, m: int) -> np.ndarray:
+    out = np.zeros(m)
+    k = min(m, arr.size)
+    out[:k] = arr[:k]
+    return out
+
+
+def merge_tops(arr: np.ndarray, i: int, j: int, m: int) -> list[float]:
+    """Leading m entries after merging blocks i and j of a descending array."""
+    v = arr[i] + arr[j]
+    out: list[float] = []
+    placed = False
+    for t in range(arr.size):
+        if len(out) >= m:
+            break
+        if t == i or t == j:
+            continue
+        val = float(arr[t])
+        if not placed and v >= val:
+            out.append(v)
+            placed = True
+            if len(out) >= m:
+                break
+        out.append(val)
+    if not placed and len(out) < m:
+        out.append(v)
+    out.extend(0.0 for _ in range(m - len(out)))
+    return out[:m]
+
+
+def split_tops(others: np.ndarray, a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """Leading m entries after replacing a block by pieces a, b (vectorised)."""
+    cands = np.empty((a.size, m + 2))
+    cands[:, :m] = others[None, :]
+    cands[:, m] = a
+    cands[:, m + 1] = b
+    cands.sort(axis=1)
+    return cands[:, ::-1][:, :m]
+
+
+def others_leading(arr: np.ndarray, skip: int, m: int) -> np.ndarray:
+    out = np.zeros(m)
+    pos = 0
+    for t in range(arr.size):
+        if t == skip:
+            continue
+        out[pos] = arr[t]
+        pos += 1
+        if pos == m:
+            break
+    return out
+
+
+def merge_sum(arr: np.ndarray, fs, base, eps: float) -> list[float]:
+    """sum over ordered pairs of p_i p_j [f(merged) - f(p)], cut at eps (none when eps = 0)."""
+    m = max(f.depends_on for f in fs)
+    if eps > 0.0:
+        idxs = np.nonzero(arr >= eps - LATTICE_TOL)[0]
+    else:
+        idxs = np.nonzero(arr > 0.0)[0]
+    pairs = [(i, j) for a, i in enumerate(idxs) for j in idxs[a + 1 :]]
+    if not pairs:
+        return [0.0 for _ in fs]
+    tops = np.array([merge_tops(arr, i, j, m) for i, j in pairs])
+    wts = np.array([2.0 * arr[i] * arr[j] for i, j in pairs])
+    return [float(np.dot(wts, f.evaluate_tops(tops) - b)) for f, b in zip(fs, base)]
+
+
+def lattice_apply_per_row(theta: float, N: int, eps: float, arr: np.ndarray, fs):
+    """Lattice generator on descending masses arr, one block at a time.
+
+    Returns (applied values, base values f(p)).
+    """
+    counts = np.rint(arr * N).astype(np.int64)
+    m = max(f.depends_on for f in fs)
+    tops0 = leading(arr, m)
+    base = [float(f.evaluate_tops(tops0[None, :])[0]) for f in fs]
+
+    merge_parts = merge_sum(arr, fs, base, eps=eps)
+
+    split_parts = [0.0 for _ in fs]
+    if theta != 0.0:
+        eps_n = eps * N
+        for i in range(arr.size):
+            if arr[i] < 2 * eps - LATTICE_TOL:
+                continue
+            c = int(counts[i])
+            klo = max(1, int(math.ceil(eps_n - LATTICE_TOL)))
+            khi = min(c - 1, int(math.floor(c - eps_n + LATTICE_TOL)))
+            if khi < klo:
+                continue
+            k = np.arange(klo, khi + 1, dtype=float)
+            a = k / N
+            b = arr[i] - a
+            tops = split_tops(others_leading(arr, i, m), a, b, m)
+            for t, f in enumerate(fs):
+                vals = f.evaluate_tops(tops)
+                split_parts[t] += float(arr[i]) * float(np.sum(vals - base[t]))
+
+    scale_merge = N / (N - 1)
+    scale_split = theta / (N - 1)
+    applied = [scale_merge * mp + scale_split * sp for mp, sp in zip(merge_parts, split_parts)]
+    return applied, base
+
+
+def cutoff_apply_per_row(theta: float, eps: float, arr: np.ndarray, f, quadrature_nodes: int = 64) -> float:
+    """eps-cutoff generator on descending masses arr, one split integral per block.
+
+    Uses the library's panel nodes, so it checks how the moves are assembled
+    and summed, not the quadrature.
+    """
+    from pdlab.splitmerge import _panel_points
+
+    m = f.depends_on
+    base = float(f.evaluate_tops(leading(arr, m)[None, :])[0])
+    merge_part = merge_sum(arr, (f,), (base,), eps)[0]
+    split_part = 0.0
+    if theta != 0.0:
+        for i in range(arr.size):
+            v = float(arr[i])
+            if v < 2 * eps:
+                continue
+            lo = eps / v
+            others = np.delete(arr, i)
+            breaks = {0.5}
+            for q in others:
+                if 0 < q < v:
+                    breaks.update((q / v, 1.0 - q / v))
+            us, ws = _panel_points(lo, 1.0 - lo, breaks, quadrature_nodes)
+            tops = split_tops(leading(others, m), us * v, (1.0 - us) * v, m)
+            integral = float(np.dot(ws, f.evaluate_tops(tops)))
+            split_part += v * v * (integral - (1.0 - 2.0 * lo) * base)
+    return merge_part + theta * split_part
+
+
 def defect_integrand(theta: float, N: int, eps: float, f, g, config) -> float:
     """h = f G g - g G f of the lattice generator at one configuration."""
-    from pdlab.splitmerge import _discrete_apply_many
-
     masses = np.array(sorted((n / N for n in config if n > 0), reverse=True))
-    applied, base = _discrete_apply_many(theta, N, eps, masses, (f, g))
+    applied, base = lattice_apply_per_row(theta, N, eps, masses, (f, g))
     return base[0] * applied[1] - base[1] * applied[0]
 
 

@@ -197,6 +197,16 @@ class TestReversibility:
                    "--theta", "1.0", "--eps", "0.1", "--sizes", "3:6", "--f", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize("theta,eps,sizes", [("1", "0.1", "1:1"), ("1", "-0.3", "3:6"), ("-2", "0.1", "3:6")])
+    def test_lattice_parameters_rejected(self, tmp_path, theta, eps, sizes):
+        family = tmp_path / "inc.json"
+        family.write_text(json.dumps({"kind": "inclusion", "theta": 0.5}))
+        out = tmp_path / "o"
+        code = run("--family", str(family), "--out", str(out), "reversibility", "--theta", theta,
+                   "--eps", eps, "--sizes", sizes, "--mode", "exact")
+        assert code == 2
+        assert not (out / "reversibility.json").exists()
+
     def test_bad_sizes_rejected(self, tmp_path, bulk_family):
         code = run("--family", bulk_family, "--out", str(tmp_path), "reversibility",
                    "--theta", "1.0", "--eps", "0.1", "--sizes", "3x6")

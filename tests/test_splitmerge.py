@@ -37,14 +37,24 @@ from pdlab import (
     time_averaged_l2,
 )
 from pdlab.ensembles import cached_logz
-from pdlab.splitmerge import _SplitMergeCore, _first_above, _partition_count, _partitions
+from pdlab.splitmerge import (
+    _SplitMergeCore,
+    _first_above,
+    _lattice_apply,
+    _panel_points,
+    _partition_count,
+    _partitions,
+    _tops_after,
+)
 
 from oracle import (
     NumpySplitMergeCore,
     bulk_tail_weight,
+    cutoff_apply_per_row,
     defect_integrand,
     enumerate_configs,
     inclusion_weight,
+    lattice_apply_per_row,
     partition_function,
     reference_defect,
     searchsorted_pick,
@@ -74,6 +84,66 @@ def slow_discrete_apply(theta, N, eps, p: OrderedPartition, f) -> float:
                 u = k / (N * arr[i])
                 total_split += arr[i] * (f(split(p, i + 1, u)) - base)
     return N / (N - 1) * total_merge + theta / (N - 1) * total_split
+
+
+def slow_cutoff_apply(theta, eps, p: OrderedPartition, f, nodes: int = 64) -> float:
+    """Direct translation of the cutoff generator via the partition ops.
+
+    The split integral is taken at the library's panel nodes, so quadrature
+    error is the same on both sides and only the assembly is checked.
+    """
+    arr = list(p.masses)
+    base = f(p)
+    tol = 1e-9
+    total_merge = 0.0
+    for i in range(len(arr)):
+        for j in range(len(arr)):
+            if i != j and arr[i] >= eps - tol and arr[j] >= eps - tol:
+                total_merge += arr[i] * arr[j] * (f(merge(p, i + 1, j + 1)) - base)
+    total_split = 0.0
+    for i, v in enumerate(arr):
+        if v < 2 * eps:
+            continue
+        breaks = {0.5}
+        for t, q in enumerate(arr):
+            if t != i and 0 < q < v:
+                breaks.update((q / v, 1.0 - q / v))
+        us, ws = _panel_points(eps / v, 1.0 - eps / v, breaks, nodes)
+        for u, w in zip(us, ws):
+            total_split += v * v * w * (f(split(p, i + 1, u)) - base)
+    return total_merge + theta * total_split
+
+
+def tops_after_per_row(arr, drop_i, drop_j, new_a, new_b, m):
+    """Remove the dropped blocks, add the new values, sort, zero-pad to m: row by row."""
+    out = []
+    for r in range(len(drop_i)):
+        vals = [v for t, v in enumerate(arr) if t not in (drop_i[r], drop_j[r])]
+        vals += [new_a[r], new_b[r]]
+        vals.sort(reverse=True)
+        out.append((vals + [0.0] * m)[:m])
+    return out
+
+
+@st.composite
+def moves_on_partitions(draw):
+    """A descending mass array, m, and a list of merge and split rows on it."""
+    grid = [0.5, 0.25, 0.2, 0.125, 0.1, 0.0625]
+    masses = draw(st.lists(st.sampled_from(grid) | st.floats(1e-6, 1.0), min_size=1, max_size=9))
+    arr = np.array(sorted(masses, reverse=True))
+    m = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        if arr.size >= 2 and draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(0, arr.size - 1), min_size=2, max_size=2, unique=True)))
+            rows.append((i, j, arr[i] + arr[j], 0.0))
+        else:
+            i = draw(st.integers(0, arr.size - 1))
+            # a piece equal to another block's mass makes a tie
+            piece = min(draw(st.sampled_from(grid) | st.floats(0.0, 1.0)), arr[i])
+            rows.append((i, i, piece, arr[i] - piece))
+    drop_i, drop_j, new_a, new_b = (np.array(col) for col in zip(*rows))
+    return arr, m, drop_i, drop_j, new_a, new_b
 
 
 class TestCylinderFunctions:
@@ -214,6 +284,17 @@ class TestCutoffGenerator:
             for f in (P1, P1_SQUARED, P1_P2, P1_PLUS_P2, EXP_NEG_P1):
                 assert cutoff_generator_apply(theta, 0.0, p, f) == generator_apply(theta, p, f)
 
+    def test_matches_slow_path(self):
+        rng = np.random.default_rng(13)
+        for _ in range(25):
+            p = OrderedPartition.from_masses(rng.dirichlet(np.ones(5))[: int(rng.integers(1, 5))])
+            eps = float(rng.choice([0.0, 0.02, 0.1, 0.3]))
+            theta = float(rng.uniform(0.0, 2.0))
+            for f in (P1, P1_P2, EXP_NEG_P1):
+                fast = cutoff_generator_apply(theta, eps, p, f)
+                slow = slow_cutoff_apply(theta, eps, p, f)
+                assert fast == pytest.approx(slow, abs=1e-11)
+
     def test_negative_cutoff_rejected(self):
         p = OrderedPartition.from_masses([0.6, 0.4])
         with pytest.raises(ValueError, match="nonnegative"):
@@ -256,6 +337,11 @@ class TestDiscreteGenerator:
                 slow = slow_discrete_apply(theta, N, eps, p, f)
                 assert fast == pytest.approx(slow, abs=1e-11)
 
+    @pytest.mark.parametrize("theta,N,eps", [(-2.0, 10, 0.1), (1.0, 1, 0.1), (1.0, 10, 0.0), (1.0, 10, -0.3)])
+    def test_parameters_rejected(self, theta, N, eps):
+        with pytest.raises(ValueError):
+            discrete_generator_apply(theta, N, eps, OrderedPartition.from_masses([1.0]), P1)
+
     def test_one_over_N_convergence_to_cutoff_generator(self):
         p = OrderedPartition.from_masses([0.6, 0.4])
         eps = 0.1
@@ -267,6 +353,67 @@ class TestDiscreteGenerator:
         # one extra decade of N buys roughly a decade of accuracy
         assert 4 < devs[0] / devs[1] < 25
         assert 4 < devs[1] / devs[2] < 25
+
+
+@st.composite
+def lattice_cases(draw):
+    """N, descending counts with trailing zeros (total <= N) and a cutoff, some on the 1/N grid."""
+    N = draw(st.integers(2, 120))
+    total = draw(st.integers(0, N))
+    cuts = draw(st.lists(st.integers(0, total), max_size=7))
+    parts = np.diff(np.array(sorted([0, *cuts, total])))
+    counts = np.sort(parts[parts > 0])[::-1]
+    counts = np.concatenate((counts, np.zeros(draw(st.integers(0, 3)), dtype=counts.dtype)))
+    eps = draw(st.floats(1e-3, 0.6) | st.integers(1, 12).map(lambda j: j / N))
+    return N, counts.astype(np.int64), eps
+
+
+class TestKernelsAgainstPerBlockReference:
+    """The batched move sums against the per-block generators in the oracle."""
+
+    @staticmethod
+    def assert_close(got, want):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        if want == 0.0:
+            assert got == 0.0
+
+    @given(case=lattice_cases(), theta=st.just(0.0) | st.floats(0.0, 3.0))
+    @example(case=(12, np.array([4, 4, 4, 0]), 1 / 12), theta=1.0)
+    @example(case=(10, np.array([10]), 0.5), theta=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_lattice(self, case, theta):
+        N, counts, eps = case
+        fs = tuple(FUNCTION_LIBRARY.values())
+        got, got_base = _lattice_apply(theta, N, eps, counts, fs)
+        want, want_base = lattice_apply_per_row(theta, N, eps, counts[counts > 0] / N, fs)
+        assert got_base == want_base
+        for a, b in zip(got, want):
+            self.assert_close(a, b)
+
+    @given(
+        weights=st.lists(st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-3, 1.0), min_size=1, max_size=6),
+        slack=st.just(0.0) | st.floats(0.0, 2.0),
+        eps=st.just(0.0) | st.floats(0.0, 0.4),
+        theta=st.just(0.0) | st.floats(0.0, 3.0),
+        name=st.sampled_from(sorted(FUNCTION_LIBRARY)),
+    )
+    @example(weights=[1.0], slack=0.0, eps=0.0, theta=0.5, name="p1+p2")
+    # masses (0.4, 0.4, 0.2) at eps = 0.1: a block of exactly 2 eps has no split points
+    @example(weights=[1.0, 1.0, 0.5], slack=0.0, eps=0.1, theta=1.0, name="p1*p2")
+    @settings(max_examples=300, deadline=None)
+    def test_cutoff(self, weights, slack, eps, theta, name):
+        p = OrderedPartition.from_masses(np.array(weights) / (sum(weights) + slack))
+        f = FUNCTION_LIBRARY[name]
+        self.assert_close(cutoff_generator_apply(theta, eps, p, f), cutoff_apply_per_row(theta, eps, p.as_array(), f))
+
+
+class TestTopsAfterMoves:
+    @given(case=moves_on_partitions())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_remove_add_sort(self, case):
+        arr, m, drop_i, drop_j, new_a, new_b = case
+        got = _tops_after(arr, drop_i, drop_j, new_a, new_b, m)
+        assert got.tolist() == tops_after_per_row(arr.tolist(), drop_i, drop_j, new_a, new_b, m)
 
 
 class TestSimulate:
@@ -307,6 +454,13 @@ class TestSimulate:
             simulate(-1.0, p0, 1.0, SeededRng(0))
         with pytest.raises(ValueError):
             simulate(1.0, OrderedPartition.from_masses([]), 1.0, SeededRng(0))
+
+    def test_time_average_validation(self):
+        p0 = OrderedPartition.from_masses([1.0])
+        with pytest.raises(ValueError, match="theta"):
+            time_averaged_l2(-1.0, p0, 0.0, 1.0, SeededRng(0))
+        with pytest.raises(ValueError, match="initial mass"):
+            time_averaged_l2(1.0, OrderedPartition.from_masses([]), 0.0, 1.0, SeededRng(0))
 
     @pytest.mark.parametrize("theta,seed", [(1.0, 5), (0.5, 91)])
     def test_stationarity_from_stick_breaking_start(self, theta, seed):
@@ -578,6 +732,14 @@ class TestReversibilityDefect:
         stderr = math.sqrt((total_sq - samples * mean * mean) / (samples - 1) / samples)
         assert res.defect == pytest.approx(mean, rel=1e-12)
         assert res.stderr == pytest.approx(stderr, rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    @pytest.mark.parametrize("L,N,eps,theta", [(1, 1, 0.1, 1.0), (3, 6, -0.3, 1.0), (3, 6, 0.1, -2.0)])
+    def test_lattice_parameters_rejected(self, mode, L, N, eps, theta):
+        with pytest.raises(ValueError):
+            reversibility_defect(
+                self.FAM, L, N, eps, theta, P1, P1_P2, mode=mode, samples=10, rng=SeededRng(0)
+            )
 
     def test_mc_needs_samples(self):
         with pytest.raises(ValueError):
