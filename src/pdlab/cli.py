@@ -174,9 +174,9 @@ def cmd_ensembles(args, config: RunConfig) -> int:
     family = _load_family(args)
     sizes = [int(s) for s in args.sizes.split(",")]
     rows = ["quantity,L,N,phi,value"]
+    phi = args.phi if args.phi is not None else invert_density(family, None, args.rho)
     for L in sizes:
         N = int(round(args.rho * L))
-        phi = args.phi if args.phi is not None else invert_density(family, None, args.rho)
         table = build_logz(family, L, N)
         ent = relative_entropy_bound(family, L, N, phi)
         tv = tv_distance_marginal(table, family, L, N, phi)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
@@ -65,14 +65,12 @@ class LogZTable:
 def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
     """Linear convolution of exp(log_a) * a and exp(log_b) * b as (vector, log offset).
 
-    The vector is rescaled to peak 1.  All terms are nonnegative, so every
-    cell is exact to a relative error of its length times the rounding unit,
-    as long as no term underflows.
+    The vector is rescaled to peak 1, positive as each input holds a 1 or is a
+    pmf.  All terms are nonnegative, so every cell is exact to a relative error
+    of its length times the rounding unit, as long as no term underflows.
     """
     out = np.convolve(a, b)
     peak = out.max()
-    if peak <= 0.0:
-        return out, log_a + log_b
     return out / peak, log_a + log_b + math.log(peak)
 
 
@@ -80,11 +78,11 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     """Build the full log Z grid up to (L, N).
 
     Each row is the previous row convolved with the weight row in linear
-    space, both scaled to maximum 1.  A cell is -inf exactly where no
-    composition reaches it (the convolution of the two finite-masks is 0).
-    A term below the smallest normal double removes at most (N+1) * tiny
-    from a cell, so a reachable cell whose scaled value falls below
-    (N+1) * tiny / eps is recomputed by a log-sum-exp over its own terms.
+    space, both scaled to maximum 1.  A term below the smallest normal
+    double removes at most (N+1) * tiny from a cell, so a cell n whose scaled
+    value is below (N+1) * tiny / eps gets a log-sum-exp over k in the weight
+    support ks if reached: if n is on l * ks[0] + gcd(ks - ks[0]) * Z and row
+    l - 1 has a finite cell in [n - hi, n - lo] for a run lo..hi of ks.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -94,28 +92,31 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     grid = np.full((L + 1, N + 1), NEG_INF)
     grid[0, 0] = 0.0
     grid[1] = logw
-    # 0/1 masks as floats: their convolution counts compositions exactly and
-    # runs on the fast floating-point path
-    w_mask = (logw > NEG_INF).astype(float)
-    w_off = logw.max() if w_mask.any() else 0.0
+    ks = np.flatnonzero(logw > NEG_INF)
+    w_off = logw.max() if ks.size else 0.0
     w_lin = np.exp(logw - w_off)
+    step = int(np.gcd.reduce(ks - ks[:1])) or 1
+    lo = ks[np.diff(ks, prepend=ks[:1] - step - 1) != step]  # ks = runs lo, lo + step, ..., hi
+    hi = ks[np.diff(ks, append=ks[-1:] + step + 1) != step]
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     for l in range(2, L + 1):
         prev = grid[l - 1]
-        support = np.convolve((prev > NEG_INF).astype(float), w_mask)[: N + 1] > 0.0
-        if not support.any():
-            continue
-        off = prev.max()  # finite, since the support is not empty
+        off = prev.max()
+        if off == NEG_INF:
+            break  # every later row is empty too
         lin, log_scale = _scaled_convolve(np.exp(prev - off), off, w_lin, w_off)
         lin = lin[: N + 1]
-        low = support & (lin < floor)
-        ok = support & ~low
+        ok = lin >= floor
         grid[l, ok] = np.log(lin[ok]) + log_scale
-        if low.any():
-            cells = np.flatnonzero(low)
-            shift = cells[:, None] - np.arange(N + 1)[None, :]
-            terms = np.where(shift >= 0, logw[None, :] + prev[np.maximum(shift, 0)], NEG_INF)
-            grid[l, cells] = logsumexp(terms, axis=1)
+        n = np.flatnonzero(~ok)
+        n = n[(n - l * ks[0]) % step == 0][:, None]
+        if n.size:
+            below = np.concatenate(([0], np.cumsum(prev > NEG_INF)))  # finite cells < m in row l - 1
+            n = n[(below[np.maximum(n - lo + 1, 0)] > below[np.maximum(n - hi, 0)]).any(axis=1), 0]
+        if n.size:
+            shift = n[:, None] - ks
+            terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
+            grid[l, n] = logsumexp(terms, axis=1)
     if N > 0 and grid[L, N] == NEG_INF:
         warnings.warn(
             f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}",
@@ -233,6 +234,9 @@ def zratio_diagnostic(table: LogZTable, L: int, N: int, kappa: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+TAIL_TOL = 1e-12  # relative tail mass a truncated tilted law may drop
+
+
 @dataclass(frozen=True)
 class GrandCanonical:
     """Tilted single-site law with fugacity phi; L = None means the limiting weights."""
@@ -244,10 +248,10 @@ class GrandCanonical:
     mean: float
     variance: float
     n_trunc: int
+    terms: np.ndarray = field(repr=False, compare=False)  # log(w(n) phi^n), n <= n_trunc
 
-    def pmf(self, tail_tol: float = 1e-12) -> np.ndarray:
-        vec, _ = _tilted_terms(self.family, self.L, self.phi, tail_tol)
-        p = np.exp(vec - logsumexp(vec))
+    def pmf(self) -> np.ndarray:
+        p = np.exp(self.terms - logsumexp(self.terms))
         return p / p.sum()
 
 
@@ -257,10 +261,8 @@ def _weight_row(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
     return log_weight_row(family, L, N)
 
 
-def _tilted_terms(
-    family: WeightFamily, L: int | None, phi: float, tail_tol: float
-) -> tuple[np.ndarray, int]:
-    """log(w(n) phi^n) up to a truncation with relative tail mass < tail_tol."""
+def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.ndarray, int]:
+    """log(w(n) phi^n) up to a truncation with relative tail mass < TAIL_TOL."""
     if phi < 0:
         raise ValueError("phi must be >= 0")
     if phi == 0.0:
@@ -288,10 +290,10 @@ def _tilted_terms(
         total = logsumexp(terms)
         if r < 1.0:
             tail = terms[-1] + math.log(r) - math.log1p(-r)
-            if tail - total < math.log(tail_tol * 0.5):
+            if tail - total < math.log(TAIL_TOL * 0.5):
                 # also trim computed entries whose joint mass stays below budget
                 rev = np.cumsum(np.exp(terms - total)[::-1])
-                k = int(np.searchsorted(rev, tail_tol * 0.5, side="left"))
+                k = int(np.searchsorted(rev, TAIL_TOL * 0.5, side="left"))
                 n_trunc = hi - k
                 return terms[: n_trunc + 1], n_trunc
         if hi >= cap:
@@ -302,18 +304,18 @@ def _tilted_terms(
         hi *= 2
 
 
-def grand_canonical_stats(
-    family: WeightFamily, L: int | None, phi: float, tail_tol: float = 1e-12
-) -> GrandCanonical:
+def grand_canonical_stats(family: WeightFamily, L: int | None, phi: float) -> GrandCanonical:
     """Normalisation, mean density and variance of the tilted single-site law."""
-    terms, n_trunc = _tilted_terms(family, L, phi, tail_tol)
+    terms, n_trunc = _tilted_terms(family, L, phi)
     log_z = float(logsumexp(terms))
     p = np.exp(terms - log_z)
     n = np.arange(terms.size, dtype=float)
     mean = float(np.dot(n, p))
     var = float(np.dot((n - mean) ** 2, p))
+    terms.setflags(write=False)
     return GrandCanonical(
-        family=family, L=L, phi=float(phi), log_z=log_z, mean=mean, variance=var, n_trunc=n_trunc
+        family=family, L=L, phi=float(phi), log_z=log_z, mean=mean, variance=var,
+        n_trunc=n_trunc, terms=terms,
     )
 
 
@@ -410,17 +412,15 @@ def _power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:
     return result, log_result
 
 
-def relative_entropy_bound(
-    family: WeightFamily, L: int, N: int, phi: float, tail_tol: float = 1e-12
-) -> float:
+def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> float:
     """Per-site relative-entropy bound -(1/L) log P[sum of L tilted draws = N].
 
     The sum's law is computed exactly by L-fold convolution of the truncated
     single-site law (log scale carried through the folds).  A numerically
     vanishing probability is reported as +inf.
     """
-    gc = grand_canonical_stats(family, L, phi, tail_tol)
-    p = gc.pmf(tail_tol)
+    gc = grand_canonical_stats(family, L, phi)
+    p = gc.pmf()
     vec, log_scale = _power_convolve(p, L)
     if N >= vec.size or vec[N] <= 0.0:
         warnings.warn(
@@ -445,7 +445,7 @@ def tv_distance_marginal(
     return 0.5 * dist
 
 
-def local_clt_report(family: WeightFamily, L: int, tail_tol: float = 1e-12) -> DiagnosticsReport:
+def local_clt_report(family: WeightFamily, L: int) -> DiagnosticsReport:
     """Local-CLT diagnostics for the sum of L draws from the near-critical tilted law.
 
     Reports the centering a_L = L R_L(phi_L), the scale b_L = sqrt(L sigma_L^2),
@@ -456,7 +456,7 @@ def local_clt_report(family: WeightFamily, L: int, tail_tol: float = 1e-12) -> D
     probabilities.
     """
     phi_l = phi_sequence(family, L)
-    gc = grand_canonical_stats(family, L, phi_l, tail_tol)
+    gc = grand_canonical_stats(family, L, phi_l)
     report = DiagnosticsReport(
         name="local_clt",
         params={"family": family.to_json_dict(), "L": L, "phi_L": phi_l},
@@ -468,7 +468,7 @@ def local_clt_report(family: WeightFamily, L: int, tail_tol: float = 1e-12) -> D
         report.add("degenerate_variance", 1.0)
         return report
 
-    nu = gc.pmf(tail_tol)
+    nu = gc.pmf()
     a_l = L * gc.mean
     b_l = math.sqrt(L * gc.variance)
     q_l = L * float(np.minimum(nu[:-1], nu[1:]).sum())

@@ -245,6 +245,8 @@ def generator_apply(
         return cutoff_generator_apply(theta, 0.0, p, f, quadrature_nodes)
     if split_method != "closed_form":
         raise ValueError("split_method must be 'quadrature' or 'closed_form'")
+    if not theta >= 0.0:
+        raise ValueError("theta must be >= 0")
     arr = p.as_array()
     if arr.size > 1:
         raise ValueError("closed form applies to one-block partitions only")
@@ -270,6 +272,8 @@ def cutoff_generator_apply(
     """
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
+    if not theta >= 0.0:
+        raise ValueError("theta must be >= 0")
     arr = p.as_array()
     blocks, pieces, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
     if theta != 0.0:
@@ -362,7 +366,7 @@ class _SplitMergeCore:
     """
 
     def __init__(self, masses, theta: float):
-        if theta < 0.0:
+        if not theta >= 0.0:
             raise ValueError("theta must be >= 0")
         self.blocks = [float(v) for v in masses if v > 0.0]
         self.theta = float(theta)

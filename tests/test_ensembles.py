@@ -27,6 +27,9 @@ from pdlab import (
     zratio_diagnostic,
 )
 
+from pdlab import ensembles
+from pdlab.ensembles import _tilted_terms
+
 from oracle import (
     bulk_tail_weight,
     inclusion_weight,
@@ -161,6 +164,15 @@ class TestBuildLogZ:
     @example(WeightFamily.from_table([1.0, 0.0, 1.0]), 12, 30)
     @example(WeightFamily.from_table([1e-200, 1.0]), 12, 30)
     @example(WeightFamily.from_table([1.0, 1e-250, 1e-250, 1.0]), 12, 30)
+    # support {1, 3}: row l lies on l + 2Z, and its lowest cells underflow
+    @example(WeightFamily.from_table([0.0, 1e-200, 0.0, 1.0]), 12, 30)
+    # w(0) = 0: the cells below n = l have no finite cell of row l - 1 in their window
+    @example(WeightFamily.bulk_tail(1.0, 1, [0.0, 1.0]), 12, 30)
+    # even support whose top cell n = 2l underflows
+    @example(WeightFamily.from_table([1.0, 0.0, 1e-200]), 12, 30)
+    # support {0} and the run [4, 5]: the hole 1..3 stays empty, and in row 2
+    # the cells 8 and 10 underflow and are reached only through the run's ends
+    @example(WeightFamily.from_table([1.0, 0.0, 0.0, 0.0, 1e-200, 1e-200]), 12, 30)
     @settings(max_examples=80, deadline=None)
     def test_linear_kernel_matches_log_space_oracle(self, family, L, N):
         with warnings.catch_warnings():
@@ -285,6 +297,34 @@ class TestGrandCanonical:
         w = bulk_tail_weight(1.0, 1, [0.5, 0.5], 30)
         tail = sum(w(n) * 0.6**n for n in range(gc.n_trunc + 1, gc.n_trunc + 4000))
         assert tail / math.exp(gc.log_z) < 1e-12
+
+    def test_pmf_is_the_stored_truncation(self):
+        gc = grand_canonical_stats(BULK, 30, 0.6)
+        terms, n_trunc = _tilted_terms(BULK, 30, 0.6)
+        assert n_trunc == gc.n_trunc and np.array_equal(gc.terms, terms)
+        assert not gc.terms.flags.writeable
+        p = np.exp(terms - logsumexp(terms))
+        assert np.array_equal(gc.pmf(), p / p.sum())
+
+    @pytest.mark.parametrize(
+        "diagnostic",
+        [
+            lambda: relative_entropy_bound(BULK, 20, 10, 0.6),
+            lambda: tv_distance_marginal(build_logz(BULK, 20, 10), BULK, 20, 10, 0.6),
+            lambda: local_clt_report(BULK, 20),
+        ],
+        ids=["relative_entropy_bound", "tv_distance_marginal", "local_clt_report"],
+    )
+    def test_one_truncation_per_tilted_law(self, diagnostic, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _tilted_terms(*args)
+
+        monkeypatch.setattr(ensembles, "_tilted_terms", counted)
+        diagnostic()
+        assert len(calls) == 1
 
 
 class TestInvertDensity:

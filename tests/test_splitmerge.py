@@ -300,6 +300,22 @@ class TestCutoffGenerator:
         with pytest.raises(ValueError, match="nonnegative"):
             cutoff_generator_apply(1.0, -0.1, p, P1)
 
+    @pytest.mark.parametrize("theta", [-2.0, -1e-300, math.nan])
+    @pytest.mark.parametrize(
+        "apply",
+        [
+            lambda theta: cutoff_generator_apply(theta, 0.1, OrderedPartition.from_masses([0.6, 0.4]), P1),
+            lambda theta: generator_apply(theta, OrderedPartition.from_masses([0.6, 0.4]), P1),
+            lambda theta: generator_apply(
+                theta, OrderedPartition.from_masses([1.0]), P1, split_method="closed_form"
+            ),
+        ],
+        ids=["cutoff", "quadrature", "closed_form"],
+    )
+    def test_negative_theta_rejected(self, apply, theta):
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            apply(theta)
+
 
 class TestDiscreteGenerator:
     def test_all_blocks_below_cutoff(self):
@@ -461,6 +477,14 @@ class TestSimulate:
             time_averaged_l2(-1.0, p0, 0.0, 1.0, SeededRng(0))
         with pytest.raises(ValueError, match="initial mass"):
             time_averaged_l2(1.0, OrderedPartition.from_masses([]), 0.0, 1.0, SeededRng(0))
+
+    def test_nan_theta_rejected(self):
+        # a NaN rate never stops the event loop, so it must be refused up front
+        p0 = OrderedPartition.from_masses([1.0])
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            simulate(math.nan, p0, 5.0, SeededRng(1), sample_times=[5.0])
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            time_averaged_l2(math.nan, p0, 0.0, 1.0, SeededRng(0))
 
     @pytest.mark.parametrize("theta,seed", [(1.0, 5), (0.5, 91)])
     def test_stationarity_from_stick_breaking_start(self, theta, seed):
