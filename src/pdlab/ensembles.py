@@ -81,8 +81,9 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     space, both scaled to maximum 1.  A term below the smallest normal
     double removes at most (N+1) * tiny from a cell, so a cell n whose scaled
     value is below (N+1) * tiny / eps gets a log-sum-exp over k in the weight
-    support ks if reached: if n is on l * ks[0] + gcd(ks - ks[0]) * Z and row
-    l - 1 has a finite cell in [n - hi, n - lo] for a run lo..hi of ks.
+    support ks if reached: if n is on l * ks[0] + gcd(ks - ks[0]) * Z and in
+    the sumset of ks and the finite cells of row l - 1, taken exactly as the
+    OR of that row's finite mask, packed into an int, shifted by each k.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -96,8 +97,6 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     w_off = logw.max() if ks.size else 0.0
     w_lin = np.exp(logw - w_off)
     step = int(np.gcd.reduce(ks - ks[:1])) or 1
-    lo = ks[np.diff(ks, prepend=ks[:1] - step - 1) != step]  # ks = runs lo, lo + step, ..., hi
-    hi = ks[np.diff(ks, append=ks[-1:] + step + 1) != step]
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     for l in range(2, L + 1):
         prev = grid[l - 1]
@@ -109,10 +108,18 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
         ok = lin >= floor
         grid[l, ok] = np.log(lin[ok]) + log_scale
         n = np.flatnonzero(~ok)
-        n = n[(n - l * ks[0]) % step == 0][:, None]
+        n = n[(n - l * ks[0]) % step == 0]
         if n.size:
-            below = np.concatenate(([0], np.cumsum(prev > NEG_INF)))  # finite cells < m in row l - 1
-            n = n[(below[np.maximum(n - lo + 1, 0)] > below[np.maximum(n - hi, 0)]).any(axis=1), 0]
+            fin = prev > NEG_INF
+            bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
+            top = int(n[-1])
+            reach = 0
+            # a shift past top minus the first finite cell reaches no cell <= top
+            for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
+                reach |= bits << k
+            reach &= (2 << top) - 1
+            hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
+            n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
         if n.size:
             shift = n[:, None] - ks
             terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
@@ -263,7 +270,7 @@ def _weight_row(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
 
 def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.ndarray, int]:
     """log(w(n) phi^n) up to a truncation with relative tail mass < TAIL_TOL."""
-    if phi < 0:
+    if not phi >= 0:
         raise ValueError("phi must be >= 0")
     if phi == 0.0:
         logw0 = _weight_row(family, L, 0)[0]
@@ -328,16 +335,14 @@ def critical_density(family: WeightFamily) -> float:
     return float(np.dot(np.arange(top + 1, dtype=float), w))
 
 
-def invert_density(
-    family: WeightFamily, L: int | None, rho: float, tol: float = 1e-10
-) -> float:
-    """Fugacity phi with mean density R_L(phi) = rho, by bisection.
+def invert_density(family: WeightFamily, L: int | None, rho: float) -> float:
+    """Fugacity phi with mean density R_L(phi) = rho, by bisection to within 1e-10.
 
     The mean-density curve is strictly increasing on the convergence domain.
     For the limiting weights (L = None) the domain is capped at phi = 1; a
     density above the critical one is reported as supercritical.
     """
-    if rho < 0:
+    if not rho >= 0:
         raise ValueError("rho must be >= 0")
     if rho == 0.0:
         return 0.0
@@ -366,7 +371,7 @@ def invert_density(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         r_mid = mean_at(mid)
-        if abs(r_mid - rho) <= tol:
+        if abs(r_mid - rho) <= 1e-10:
             return mid
         if r_mid < rho:
             lo = mid

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 TOTAL_SLACK = 1e-12
+TRUNC_EPS = 1e-12  # stick-breaking stops once the unbroken remainder is below this
+K_MAX = 10_000  # ... or once it has broken this many sticks
 
 
 @dataclass(frozen=True)
@@ -35,10 +37,8 @@ class OrderedPartition:
             raise ValueError("total mass exceeds 1")
 
     @classmethod
-    def from_masses(cls, values, sort: bool = True) -> "OrderedPartition":
-        vals = [float(v) for v in values if v != 0.0]
-        if sort:
-            vals.sort(reverse=True)
+    def from_masses(cls, values) -> "OrderedPartition":
+        vals = sorted((float(v) for v in values if v != 0.0), reverse=True)
         return cls(tuple(vals))
 
     @property
@@ -97,13 +97,12 @@ class StickBreakingResult:
 def stick_breaking(
     theta: float,
     alpha: float = 1.0,
-    k_max: int = 10_000,
+    k_max: int = K_MAX,
     rng: np.random.Generator | None = None,
-    trunc_eps: float = 1e-12,
 ) -> StickBreakingResult:
     """One stick-breaking draw on [0, alpha] with Beta(1, theta) fractions.
 
-    Breaking stops when the unbroken remainder falls below ``trunc_eps`` or
+    Breaking stops when the unbroken remainder falls below ``TRUNC_EPS`` or
     after ``k_max`` sticks; the remainder is reported, never silently dropped.
     """
     if theta <= 0:
@@ -113,7 +112,7 @@ def stick_breaking(
     g = _as_generator(rng)
     pieces: list[float] = []
     residual = alpha
-    while residual >= trunc_eps and len(pieces) < k_max:
+    while residual >= TRUNC_EPS and len(pieces) < k_max:
         u = g.beta(1.0, theta)
         pieces.append(residual * u)
         residual *= 1.0 - u
@@ -129,13 +128,11 @@ def stick_breaking_batch(
     alpha: float,
     count: int,
     rng: np.random.Generator,
-    trunc_eps: float = 1e-12,
-    k_max: int = 10_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised stick-breaking: (count, K) matrix of unsorted pieces and residuals.
 
-    Every row carries enough sticks that its residual is below ``trunc_eps``
-    (or k_max columns).  Column padding beyond a row's stopping index simply
+    Every row carries enough sticks that its residual is below ``TRUNC_EPS``
+    (or ``K_MAX`` columns).  Column padding beyond a row's stopping index simply
     keeps breaking, which leaves the row's law unchanged.
     """
     if theta <= 0:
@@ -145,8 +142,8 @@ def stick_breaking_batch(
     blocks: list[np.ndarray] = []
     residual = np.full(count, alpha)
     k = 0
-    while k < k_max and float(residual.max()) >= trunc_eps:
-        step = min(64, k_max - k)
+    while k < K_MAX and float(residual.max()) >= TRUNC_EPS:
+        step = min(64, K_MAX - k)
         u = rng.beta(1.0, theta, size=(count, step))
         keep = residual[:, None] * np.cumprod(1.0 - u, axis=1)
         pieces = residual[:, None] * u

@@ -38,8 +38,8 @@ class CylinderFunction:
     """Bounded function of finitely many partition coordinates.
 
     ``terms`` is a sum of monomials, each a coefficient together with
-    (1-based index, power) pairs.  kind "bounded_exp" wraps the sum s(p) as
-    exp(-s(p)); the other kinds evaluate the sum directly.
+    (1-based index, power) pairs.  kind "poly" evaluates the sum s(p)
+    directly; kind "bounded_exp" wraps it as exp(-s(p)).
     """
 
     kind: str
@@ -47,7 +47,7 @@ class CylinderFunction:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("monomial", "poly", "bounded_exp"):
+        if self.kind not in ("poly", "bounded_exp"):
             raise ValueError(f"unknown cylinder function kind {self.kind!r}")
         for _, powers in self.terms:
             for idx, power in powers:
@@ -55,9 +55,8 @@ class CylinderFunction:
                     raise ValueError("indices and powers must be >= 1")
 
     @classmethod
-    def monomial(cls, powers: dict[int, int], coeff: float = 1.0, label: str = "") -> "CylinderFunction":
-        term = (float(coeff), tuple(sorted(powers.items())))
-        return cls(kind="monomial", terms=(term,), label=label)
+    def monomial(cls, powers: dict[int, int], label: str = "") -> "CylinderFunction":
+        return cls.poly([(1.0, powers)], label=label)
 
     @classmethod
     def poly(cls, terms, label: str = "") -> "CylinderFunction":
@@ -214,44 +213,15 @@ def _move_sum(arr, fs, eps: float, merge_scale: float, block, piece, weight):
     return [float(np.dot(wts, v - v[0])) for v in vals], [float(v[0]) for v in vals]
 
 
-def _one_block_monomial_split(theta: float, v: float, f: CylinderFunction) -> float:
-    """Closed form of the split term for a single block and a monomial in p_1."""
-    total = 0.0
-    for coeff, powers in f.terms:
-        if any(idx != 1 for idx, _ in powers):
-            raise ValueError("closed form needs a function of p_1 only")
-        k = sum(power for _, power in powers)
-        integral = coeff * v**k * 2.0 * (1.0 - 0.5 ** (k + 1)) / (k + 1)
-        total += v * v * (integral - coeff * v**k)
-    return theta * total
-
-
-def generator_apply(
-    theta: float,
-    p: OrderedPartition,
-    f: CylinderFunction,
-    quadrature_nodes: int = 64,
-    split_method: str = "quadrature",
-) -> float:
+def generator_apply(theta: float, p: OrderedPartition, f: CylinderFunction) -> float:
     """Apply the full split-merge generator to f at p.
 
     Merge part: sum over ordered pairs i != j of p_i p_j [f(merge) - f(p)].
     Split part: theta sum_i p_i^2 [int_0^1 f(split at u) du - f(p)], with the
-    integral evaluated by panel-subdivided Gauss-Legendre quadrature (the
-    cutoff generator at eps = 0), or by the exact closed form for monomials
-    in p_1 on a one-block partition.
+    integral evaluated by panel-subdivided Gauss-Legendre quadrature: the
+    cutoff generator at eps = 0.
     """
-    if split_method == "quadrature":
-        return cutoff_generator_apply(theta, 0.0, p, f, quadrature_nodes)
-    if split_method != "closed_form":
-        raise ValueError("split_method must be 'quadrature' or 'closed_form'")
-    if not theta >= 0.0:
-        raise ValueError("theta must be >= 0")
-    arr = p.as_array()
-    if arr.size > 1:
-        raise ValueError("closed form applies to one-block partitions only")
-    # a lone block has nothing to merge with, so only the split term remains
-    return _one_block_monomial_split(theta, float(arr[0]), f) if arr.size else 0.0
+    return cutoff_generator_apply(theta, 0.0, p, f)
 
 
 def cutoff_generator_apply(
@@ -455,14 +425,12 @@ def simulate(
     more than the total; the only drift left is that rounding, half an ulp
     per merge at most.
     """
-    if t_max <= 0.0:
-        raise ValueError("t_max must be positive")
+    if not 0.0 < t_max < math.inf:
+        raise ValueError("t_max must be positive and finite")
     g = _as_generator(rng)
-    times = sorted(float(t) for t in sample_times)
-    if not times:
-        times = [float(t_max)]
-    if times[-1] > t_max:
-        raise ValueError("sample times must not exceed t_max")
+    times = sorted(float(t) for t in sample_times) or [float(t_max)]
+    if not all(0.0 <= t <= t_max for t in times):
+        raise ValueError("sample times must lie in [0, t_max]")
     core = _SplitMergeCore(p0.masses, theta)
     out: list[SplitMergeState] = []
     t = 0.0
@@ -485,8 +453,8 @@ def time_averaged_l2(
     rng,
 ) -> tuple[float, SplitMergeState]:
     """Time average of sum_i p_i^2 over (burn_in, burn_in + duration], plus the final state."""
-    if duration <= 0.0 or burn_in < 0.0:
-        raise ValueError("need burn_in >= 0 and duration > 0")
+    if not (0.0 <= burn_in < math.inf and 0.0 < duration < math.inf):
+        raise ValueError("need a finite burn_in >= 0 and a finite duration > 0")
     g = _as_generator(rng)
     core = _SplitMergeCore(p0.masses, theta)
     t = 0.0

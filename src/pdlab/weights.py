@@ -107,7 +107,7 @@ class WeightFamily:
         raise ValueError(f"unknown weight family kind {kind!r}")
 
     @classmethod
-    def from_csv(cls, path, theta: float = 1.0) -> "WeightFamily":
+    def from_csv(cls, path) -> "WeightFamily":
         """Load a table family from CSV rows (L, n, w); L = 0 rows set the default sequence."""
         rows: dict[int, dict[int, float]] = {}
         with open(path, newline="") as fh:
@@ -125,7 +125,7 @@ class WeightFamily:
             # no explicit default: reuse the largest-L sequence as the limit
             default = rows[max(rows)]
         per_L = {L: to_seq(d) for L, d in rows.items()}
-        return cls.from_table(to_seq(default), theta=theta, per_L=per_L)
+        return cls.from_table(to_seq(default), per_L=per_L)
 
     # -- misc ----------------------------------------------------------
 
@@ -243,14 +243,14 @@ def limit_support(family: WeightFamily) -> int:
     return top
 
 
-def weight_sup_distance(family: WeightFamily, L: int, scan: int = 4096) -> float:
-    """sup_n |w_L(n) - w(n)| scanned over n <= scan.
+def weight_sup_distance(family: WeightFamily, L: int) -> float:
+    """sup_n |w_L(n) - w(n)| scanned over n <= 4096.
 
     For the built-in kinds the deviation is decreasing beyond a few entries,
     so a fixed scan window captures the supremum.
     """
-    wl = np.exp(log_weight_row(family, L, scan))
-    w = np.exp(limit_weight_row(family, scan))
+    wl = np.exp(log_weight_row(family, L, 4096))
+    w = np.exp(limit_weight_row(family, 4096))
     return float(np.max(np.abs(wl - w)))
 
 

@@ -6,12 +6,13 @@ real two-route check.  The log-space grid at the end is the reference for the
 library's rescaled linear-space kernel: an (N+1)x(N+1) log-sum-exp matrix per
 row, which never underflows.
 
-The lattice and cutoff generators are kept here in their per-block form:
-merges one pair at a time by a Python scan, splits block by block with the
-other blocks' leading entries re-read for each.  The library sums every move
-in one batch; these are the reference it must match, and the reference
-reversibility defect walks every configuration with the per-block lattice
-generator.
+The closed form of the full generator on a one-block partition is the
+reference for its quadrature.  The lattice and cutoff generators are kept
+here in their per-block form: merges one pair at a time by a Python scan,
+splits block by block with the other blocks' leading entries re-read for
+each.  The library sums every move in one batch; these are the reference it
+must match, and the reference reversibility defect walks every
+configuration with the per-block lattice generator.
 
 The last two oracles are the NumPy forms of the two hot loops, kept as the
 code the loop-free versions must reproduce bit for bit: the batch sampler
@@ -218,6 +219,23 @@ def cutoff_apply_per_row(theta: float, eps: float, arr: np.ndarray, f, quadratur
             integral = float(np.dot(ws, f.evaluate_tops(tops)))
             split_part += v * v * (integral - (1.0 - 2.0 * lo) * base)
     return merge_part + theta * split_part
+
+
+def one_block_monomial_split(theta: float, v: float, f) -> float:
+    """Closed form of the full generator at the one-block partition (v), for f of p_1 only.
+
+    A lone block has nothing to merge with, so only the split term remains:
+    theta v^2 [int_0^1 f(max(u, 1 - u) v) du - f(v)], with
+    int_0^1 max(u, 1 - u)^k du = 2 (1 - 2^-(k+1)) / (k + 1).
+    """
+    total = 0.0
+    for coeff, powers in f.terms:
+        if any(idx != 1 for idx, _ in powers):
+            raise ValueError("closed form needs a function of p_1 only")
+        k = sum(power for _, power in powers)
+        integral = coeff * v**k * 2.0 * (1.0 - 0.5 ** (k + 1)) / (k + 1)
+        total += v * v * (integral - coeff * v**k)
+    return theta * total
 
 
 def defect_integrand(theta: float, N: int, eps: float, f, g, config) -> float:

@@ -43,6 +43,7 @@ from pdlab import (
 from oracle import (
     bulk_tail_weight,
     inclusion_weight,
+    one_block_monomial_split,
     pair_zero,
     partition_function,
     site_marginal,
@@ -273,8 +274,8 @@ class TestCriterion7IdentitySuite:
                 (P1_SQUARED, -5 * theta / 12),
                 (P1, theta * (2 * (1 - 0.25) / 2 - 1)),  # int max(u,1-u) du = 3/4
             ):
-                quad = generator_apply(theta, one, f, split_method="quadrature")
-                cf = generator_apply(theta, one, f, split_method="closed_form")
+                quad = generator_apply(theta, one, f)
+                cf = one_block_monomial_split(theta, 1.0, f)
                 worst = max(worst, abs(quad - cf), abs(quad - closed))
         half = OrderedPartition.from_masses([0.5, 0.5])
         worst = max(worst, abs(generator_apply(1.0, half, P1) - 0.25))

@@ -161,6 +161,12 @@ class TestSplitMerge:
             outs.append((out / "trajectory.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("t_max", ["nan", "inf", "0"])
+    def test_t_max_must_be_finite_and_positive(self, tmp_path, t_max):
+        code = run("--seed", "1", "--out", str(tmp_path), "splitmerge", "--theta", "1",
+                   "--t-max", t_max, "--records", "5")
+        assert code == 2
+
 
 class TestReversibility:
     def test_f_equals_g_zero_row(self, tmp_path, bulk_family):
@@ -231,6 +237,14 @@ class TestEnsembles:
         lines = (out / "ensembles.csv").read_text().splitlines()
         row = next(l for l in lines if l.startswith("entropy_bound"))
         assert float(row.split(",")[3]) == 0.4
+
+    @pytest.mark.parametrize(
+        "argv", [["--rho", "0.25", "--phi", "nan"], ["--rho", "nan"]], ids=["phi", "rho"]
+    )
+    def test_nan_fugacity_or_density_is_config_error(self, tmp_path, bulk_family, argv):
+        code = run("--family", bulk_family, "--out", str(tmp_path), "ensembles",
+                   *argv, "--sizes", "4")
+        assert code == 2
 
 
 class TestNumericFailure:

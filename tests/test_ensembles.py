@@ -166,13 +166,19 @@ class TestBuildLogZ:
     @example(WeightFamily.from_table([1.0, 1e-250, 1e-250, 1.0]), 12, 30)
     # support {1, 3}: row l lies on l + 2Z, and its lowest cells underflow
     @example(WeightFamily.from_table([0.0, 1e-200, 0.0, 1.0]), 12, 30)
-    # w(0) = 0: the cells below n = l have no finite cell of row l - 1 in their window
+    # w(0) = 0: the cells below n = l are outside the sumset of row l - 1 and the support
     @example(WeightFamily.bulk_tail(1.0, 1, [0.0, 1.0]), 12, 30)
     # even support whose top cell n = 2l underflows
     @example(WeightFamily.from_table([1.0, 0.0, 1e-200]), 12, 30)
     # support {0} and the run [4, 5]: the hole 1..3 stays empty, and in row 2
-    # the cells 8 and 10 underflow and are reached only through the run's ends
+    # the cells 8 and 10 underflow and are reached only through 4 + 4 and 5 + 5
     @example(WeightFamily.from_table([1.0, 0.0, 0.0, 0.0, 1e-200, 1e-200]), 12, 30)
+    # support {0, 7, 9, 11, 13}: many runs of one point, a hole below them, and
+    # underflowing terms, so most cells below the floor are decided by the sumset
+    @example(WeightFamily.from_table([1.0] + [0.0] * 6 + [1e-200, 0.0] * 4), 12, 30)
+    # N = 2 ks[-1]: in row 2 the only cell below the floor is n = 0, reached
+    # only by the largest shift the bound allows, k = n - (first finite cell) = 0
+    @example(WeightFamily.from_table([1e-200, 1.0, 1.0]), 12, 4)
     @settings(max_examples=80, deadline=None)
     def test_linear_kernel_matches_log_space_oracle(self, family, L, N):
         with warnings.catch_warnings():
@@ -306,6 +312,12 @@ class TestGrandCanonical:
         p = np.exp(terms - logsumexp(terms))
         assert np.array_equal(gc.pmf(), p / p.sum())
 
+    @pytest.mark.parametrize("L", [None, 10])
+    @pytest.mark.parametrize("phi", [-0.5, math.nan])
+    def test_bad_fugacity_rejected(self, L, phi):
+        with pytest.raises(ValueError, match="phi must be >= 0"):
+            grand_canonical_stats(BULK, L, phi)
+
     @pytest.mark.parametrize(
         "diagnostic",
         [
@@ -340,6 +352,13 @@ class TestInvertDensity:
     def test_finite_L_round_trip(self):
         phi = invert_density(BULK, 50, 0.8)
         assert grand_canonical_stats(BULK, 50, phi).mean == pytest.approx(0.8, abs=1e-9)
+
+    @pytest.mark.parametrize("L", [None, 10])
+    @pytest.mark.parametrize("rho", [-0.1, math.nan])
+    def test_bad_density_rejected(self, L, rho):
+        # every comparison with NaN is false, so a bisection on it would return a number
+        with pytest.raises(ValueError, match="rho must be >= 0"):
+            invert_density(BULK, L, rho)
 
 
 class TestPhiSequence:

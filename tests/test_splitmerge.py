@@ -55,6 +55,7 @@ from oracle import (
     enumerate_configs,
     inclusion_weight,
     lattice_apply_per_row,
+    one_block_monomial_split,
     partition_function,
     reference_defect,
     searchsorted_pick,
@@ -227,8 +228,8 @@ class TestGeneratorApply:
         one = OrderedPartition.from_masses([1.0])
         for f in (P1, P1_SQUARED):
             for theta in (0.5, 1.0):
-                quad = generator_apply(theta, one, f, split_method="quadrature")
-                closed = generator_apply(theta, one, f, split_method="closed_form")
+                quad = generator_apply(theta, one, f)
+                closed = one_block_monomial_split(theta, 1.0, f)
                 assert abs(quad - closed) < 1e-10
 
     def test_quadrature_against_adaptive_integration(self):
@@ -254,11 +255,6 @@ class TestGeneratorApply:
         )
         expected = merge_term + theta * split_term
         assert generator_apply(theta, p, f) == pytest.approx(expected, abs=1e-7)
-
-    def test_closed_form_needs_one_block(self):
-        p = OrderedPartition.from_masses([0.5, 0.5])
-        with pytest.raises(ValueError):
-            generator_apply(1.0, p, P1, split_method="closed_form")
 
 
 class TestCutoffGenerator:
@@ -306,11 +302,8 @@ class TestCutoffGenerator:
         [
             lambda theta: cutoff_generator_apply(theta, 0.1, OrderedPartition.from_masses([0.6, 0.4]), P1),
             lambda theta: generator_apply(theta, OrderedPartition.from_masses([0.6, 0.4]), P1),
-            lambda theta: generator_apply(
-                theta, OrderedPartition.from_masses([1.0]), P1, split_method="closed_form"
-            ),
         ],
-        ids=["cutoff", "quadrature", "closed_form"],
+        ids=["cutoff", "quadrature"],
     )
     def test_negative_theta_rejected(self, apply, theta):
         with pytest.raises(ValueError, match="theta must be >= 0"):
@@ -485,6 +478,27 @@ class TestSimulate:
             simulate(math.nan, p0, 5.0, SeededRng(1), sample_times=[5.0])
         with pytest.raises(ValueError, match="theta must be >= 0"):
             time_averaged_l2(math.nan, p0, 0.0, 1.0, SeededRng(0))
+
+    @pytest.mark.parametrize(
+        "t_max,sample_times",
+        [(math.nan, ()), (math.inf, ()), (5.0, [1.0, math.nan]), (5.0, [-1.0, 1.0]), (5.0, [6.0])],
+        ids=["t_max_nan", "t_max_inf", "time_nan", "time_negative", "time_past_t_max"],
+    )
+    def test_times_must_be_finite_and_in_range(self, t_max, sample_times):
+        # a time the clock never passes would keep the event loop running forever
+        p0 = OrderedPartition.from_masses([1.0])
+        with pytest.raises(ValueError):
+            simulate(1.0, p0, t_max, SeededRng(1), sample_times=sample_times)
+
+    @pytest.mark.parametrize(
+        "burn_in,duration",
+        [(math.nan, 1.0), (math.inf, 1.0), (-1.0, 1.0), (0.0, math.nan), (0.0, math.inf), (0.0, 0.0)],
+        ids=["burn_in_nan", "burn_in_inf", "burn_in_negative", "duration_nan", "duration_inf", "duration_zero"],
+    )
+    def test_time_average_needs_finite_window(self, burn_in, duration):
+        p0 = OrderedPartition.from_masses([1.0])
+        with pytest.raises(ValueError, match="finite"):
+            time_averaged_l2(1.0, p0, burn_in, duration, SeededRng(0))
 
     @pytest.mark.parametrize("theta,seed", [(1.0, 5), (0.5, 91)])
     def test_stationarity_from_stick_breaking_start(self, theta, seed):
