@@ -134,6 +134,8 @@ def cmd_sample(args, config: RunConfig) -> int:
 def cmd_splitmerge(args, config: RunConfig) -> int:
     if not 0 < args.t_max < np.inf:
         raise ConfigError("--t-max must be positive and finite")
+    if args.records < 1:
+        raise ConfigError("--records must be >= 1")
     p0 = OrderedPartition.from_masses(json.loads(args.p0))
     times = np.linspace(args.t_max / args.records, args.t_max, args.records)
     states = simulate(args.theta, p0, args.t_max, SeededRng(args.seed), sample_times=times)

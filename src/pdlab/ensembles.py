@@ -18,7 +18,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .report import DiagnosticsReport
 from .weights import (
@@ -74,6 +73,20 @@ def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
     return out / peak, log_a + log_b + math.log(peak)
 
 
+def _logsumexp(a: np.ndarray, axis: int | None = None):
+    """log sum exp(a) over axis (all of a if None); -inf where every entry is -inf.
+
+    The copies of the maximum top are counted, not summed (Blanchard, Higham &
+    Higham 2021): log1p(rest / count) + log(count) + top."""
+    top = np.max(a, axis=axis, keepdims=True)
+    at_top = a == top
+    count = np.sum(at_top, axis=axis, keepdims=True, dtype=float)
+    with np.errstate(invalid="ignore"):  # -inf - -inf in a row of -inf
+        rest = np.sum(np.exp(np.where(at_top, NEG_INF, a) - top), axis=axis, keepdims=True)
+    out = np.where(top == NEG_INF, NEG_INF, np.log1p(rest / count) + np.log(count) + top)
+    return np.squeeze(out, axis=axis)[()]
+
+
 def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     """Build the full log Z grid up to (L, N).
 
@@ -123,7 +136,7 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
         if n.size:
             shift = n[:, None] - ks
             terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
-            grid[l, n] = logsumexp(terms, axis=1)
+            grid[l, n] = _logsumexp(terms, axis=1)
     if N > 0 and grid[L, N] == NEG_INF:
         warnings.warn(
             f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}",
@@ -258,7 +271,7 @@ class GrandCanonical:
     terms: np.ndarray = field(repr=False, compare=False)  # log(w(n) phi^n), n <= n_trunc
 
     def pmf(self) -> np.ndarray:
-        p = np.exp(self.terms - logsumexp(self.terms))
+        p = np.exp(self.terms - _logsumexp(self.terms))
         return p / p.sum()
 
 
@@ -294,7 +307,7 @@ def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.n
         window = terms[-17:]
         ratios = np.exp(np.diff(window))
         r = float(np.max(ratios))
-        total = logsumexp(terms)
+        total = _logsumexp(terms)
         if r < 1.0:
             tail = terms[-1] + math.log(r) - math.log1p(-r)
             if tail - total < math.log(TAIL_TOL * 0.5):
@@ -314,7 +327,7 @@ def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.n
 def grand_canonical_stats(family: WeightFamily, L: int | None, phi: float) -> GrandCanonical:
     """Normalisation, mean density and variance of the tilted single-site law."""
     terms, n_trunc = _tilted_terms(family, L, phi)
-    log_z = float(logsumexp(terms))
+    log_z = float(_logsumexp(terms))
     p = np.exp(terms - log_z)
     n = np.arange(terms.size, dtype=float)
     mean = float(np.dot(n, p))

@@ -27,7 +27,7 @@ class OrderedPartition:
 
     def __post_init__(self):
         m = self.masses
-        if any(x < 0.0 or x > 1.0 + TOTAL_SLACK for x in m):
+        if not all(0.0 <= x <= 1.0 + TOTAL_SLACK for x in m):
             raise ValueError("masses must lie in [0, 1]")
         if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
             raise ValueError("masses must be nonincreasing")
@@ -105,7 +105,7 @@ def stick_breaking(
     Breaking stops when the unbroken remainder falls below ``TRUNC_EPS`` or
     after ``k_max`` sticks; the remainder is reported, never silently dropped.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive (theta = 0 is the degenerate case)")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
@@ -135,7 +135,7 @@ def stick_breaking_batch(
     (or ``K_MAX`` columns).  Column padding beyond a row's stopping index simply
     keeps breaking, which leaves the row's law unchanged.
     """
-    if theta <= 0:
+    if not theta > 0:
         raise ValueError("theta must be positive")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")

@@ -24,6 +24,11 @@ NEG_INF = float("-inf")
 _KINDS = ("inclusion", "bulk_tail", "table")
 
 
+def _check_weights(seq) -> None:
+    if not seq or not all(0.0 <= w < math.inf for w in seq):  # NaN fails every test
+        raise ValueError("weight sequences must be nonempty, finite and nonnegative")
+
+
 @dataclass(frozen=True)
 class WeightFamily:
     """Immutable description of a weight family.
@@ -57,18 +62,14 @@ class WeightFamily:
                 raise ValueError("bulk_tail needs a nonnegative integer cutoff A")
             if self.bulk is None or len(self.bulk) != self.A + 1:
                 raise ValueError("bulk must list the A+1 weights w(0..A)")
-            if min(self.bulk) < 0:
-                raise ValueError("weights must be nonnegative")
+            _check_weights(self.bulk)
             if abs(sum(self.bulk) - 1.0) > 1e-12:
                 raise ValueError("bulk weights must sum to 1")
         if self.kind == "table":
             if not self.table:
                 raise ValueError("table kind needs an explicit weight sequence")
-            if min(self.table) < 0:
-                raise ValueError("weights must be nonnegative")
-            for _, seq in self.table_per_L:
-                if min(seq) < 0:
-                    raise ValueError("weights must be nonnegative")
+            for seq in (self.table, *(seq for _, seq in self.table_per_L)):
+                _check_weights(seq)
 
     # -- constructors -------------------------------------------------
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +171,12 @@ class TestSplitMerge:
                    "--t-max", t_max, "--records", "5")
         assert code == 2
 
+    def test_zero_records_is_config_error(self, tmp_path, capsys):
+        code = run("--seed", "1", "--out", str(tmp_path), "splitmerge", "--theta", "1",
+                   "--t-max", "5", "--records", "0")
+        assert code == 2
+        assert "--records" in capsys.readouterr().err
+
 
 class TestReversibility:
     def test_f_equals_g_zero_row(self, tmp_path, bulk_family):
@@ -316,6 +326,38 @@ class TestCondense:
         assert len(frac_rows) == 2
         target = next(l for l in lines if l.startswith("alpha_target"))
         assert float(target.split(",")[4]) == pytest.approx(0.75)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("weights", ["[1.0, NaN, 1.0]", "[1.0, Infinity]"])
+    def test_non_finite_table_weight_is_config_error(self, tmp_path, weights):
+        # Python's json parser reads NaN and Infinity
+        family = tmp_path / "t.json"
+        family.write_text('{"kind": "table", "weights": %s}' % weights)
+        out = tmp_path / "o"
+        assert run("--family", str(family), "--out", str(out), "zn", "--L", "3", "--N", "4") == 2
+        assert not out.exists()
+
+    def test_nan_theta_in_condense_is_config_error(self, tmp_path, bulk_family):
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "condense",
+                   "--rho", "2", "--theta", "nan", "--sizes", "20")
+        assert code == 2
+        assert not (out / "condense.csv").exists()
+
+
+class TestImport:
+    def test_import_loads_no_scipy(self):
+        # numpy is the one runtime dependency; scipy is only a test reference
+        script = (
+            "import sys, pdlab, pdlab.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestAssumptions:

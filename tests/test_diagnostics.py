@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from scipy import stats
 
 from pdlab import (
     Configuration,
@@ -20,6 +21,8 @@ from pdlab import (
     trend_report,
     variance_one_norm,
 )
+from pdlab.diagnostics import scaled_beta_cdf
+from pdlab.partitions import positive_size_biased
 
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
 INCLUSION = WeightFamily.inclusion(1.0)
@@ -93,6 +96,11 @@ class TestAlphaEstimate:
         with pytest.raises(ValueError):
             alpha_from_second_moment(t, 4, 8, 0.0)
 
+    def test_rejects_nan_theta(self):
+        t = build_logz(BULK, 4, 8)
+        with pytest.raises(ValueError, match="theta"):
+            alpha_from_second_moment(t, 4, 8, math.nan)
+
     def test_inclusion_estimate_tends_to_one(self):
         # with an empty bulk the whole mass is macroscopic: alpha = 1
         devs = []
@@ -128,6 +136,24 @@ class TestPdGof:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             pd_gof([], 1.0, 1.0, SeededRng(0))
+
+    def test_no_positive_mass_gives_nan_statistic(self):
+        rep = pd_gof([OrderedPartition(())] * 3, 1.0, 1.0, SeededRng(0))
+        assert math.isnan(rep.value("ks_stat"))
+        assert rep.value("ks_n") == 0.0
+
+    @pytest.mark.parametrize("theta,alpha,seed", [(1.0, 1.0, 1), (0.4, 0.8, 2), (3.0, 0.5, 3)])
+    def test_ks_stat_is_scipy_statistic_bitwise(self, theta, alpha, seed):
+        rng = SeededRng(seed)
+        samples = [stick_breaking(theta, alpha, rng=rng).partition for _ in range(300)]
+        samples += [OrderedPartition(())]  # no positive mass: left out of the statistic
+        rep = pd_gof(samples, theta, alpha, SeededRng(seed + 100))
+        # the same first size-biased draws, from the same stream
+        g = SeededRng(seed + 100).generator
+        firsts = [positive_size_biased(p, 1, g).values[0] for p in samples if p.total > 0]
+        ref = stats.kstest(firsts, scaled_beta_cdf(theta, alpha)).statistic
+        assert rep.value("ks_n") == 300.0
+        assert rep.value("ks_stat") == float(ref)
 
     def test_macroscopic_blocks_rescaled_pipeline(self):
         # two-pipeline comparison: canonical blocks above the cutoff, taken at

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import logsumexp
 from scipy.stats import binom
 
@@ -490,3 +491,41 @@ class TestZRatio:
         t = build_logz(BULK, 200, 400)
         ratio = zratio_diagnostic(t, 200, 400, 0.1)
         assert ratio <= (1 - 0.1 / 0.75) ** -1 + 1e-9
+
+
+# entries of log-weight rows: exact zeros, ties on a coarse integer grid, and
+# spreads up to the edge of the double range
+LOG_ENTRIES = st.one_of(
+    st.just(-math.inf),
+    st.integers(min_value=-3, max_value=3).map(float),
+    st.floats(min_value=-700.0, max_value=700.0),
+)
+
+
+def same_bits(got, want) -> bool:
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+class TestLogSumExp:
+    """The private log-sum-exp is bit for bit scipy.special.logsumexp on real input."""
+
+    @given(st.lists(LOG_ENTRIES, min_size=1, max_size=40))
+    @example([-math.inf, -math.inf])
+    @example([2.0, 2.0, -math.inf, 1.0])
+    @settings(max_examples=300, deadline=None)
+    def test_axis_none(self, values):
+        a = np.array(values)
+        assert same_bits(ensembles._logsumexp(a), logsumexp(a))
+
+    @given(hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=12), elements=LOG_ENTRIES))
+    @example(np.array([[0.0, -math.inf], [-math.inf, -math.inf], [1.0, 1.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_axis_one(self, a):
+        assert same_bits(ensembles._logsumexp(a, axis=1), logsumexp(a, axis=1))
+
+    def test_all_minus_inf_is_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ensembles._logsumexp(np.full(3, -math.inf)) == -math.inf
+            assert (ensembles._logsumexp(np.full((2, 3), -math.inf), axis=1) == -math.inf).all()

@@ -39,6 +39,11 @@ class TestOrderedPartition:
         with pytest.raises(ValueError):
             OrderedPartition.from_masses([0.8, 0.8])
 
+    @pytest.mark.parametrize("masses", [(math.nan,), (0.5, math.nan)])
+    def test_rejects_nan_mass(self, masses):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            OrderedPartition(masses)
+
     def test_entry_is_one_based_with_zero_padding(self):
         p = OrderedPartition.from_masses([0.5, 0.25])
         assert p.entry(1) == 0.5
@@ -67,6 +72,12 @@ class TestStickBreaking:
             stick_breaking(0.0, rng=rng)
         with pytest.raises(ValueError):
             stick_breaking(1.0, alpha=0.0, rng=rng)
+
+    def test_rejects_nan_theta(self):
+        with pytest.raises(ValueError, match="theta"):
+            stick_breaking(math.nan, rng=SeededRng(1))
+        with pytest.raises(ValueError, match="theta"):
+            stick_breaking_batch(math.nan, 1.0, 3, SeededRng(1).generator)
 
     def test_partition_is_sorted_gem_multiset(self):
         res = stick_breaking(0.7, rng=SeededRng(5))

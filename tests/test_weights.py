@@ -150,3 +150,12 @@ class TestSerialization:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             WeightFamily.from_table([1.0, -0.1])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightFamily.from_table([1.0, bad, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            WeightFamily.from_table([1.0, 1.0], per_L={3: [1.0, bad]})
+        with pytest.raises(ValueError, match="finite"):
+            WeightFamily.bulk_tail(1.0, 2, [0.5, 0.5, bad])
