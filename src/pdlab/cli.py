@@ -172,13 +172,19 @@ def cmd_reversibility(args, config: RunConfig) -> int:
     return 0
 
 
+def _density_cells(args) -> list[tuple[int, int]]:
+    """(L, N = round(rho L)) for each L of --sizes, with --rho finite and >= 0."""
+    if not 0.0 <= args.rho < np.inf:
+        raise ConfigError("--rho must be finite and >= 0")
+    return [(L, int(round(args.rho * L))) for L in map(int, args.sizes.split(","))]
+
+
 def cmd_ensembles(args, config: RunConfig) -> int:
     family = _load_family(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    cells = _density_cells(args)
     rows = ["quantity,L,N,phi,value"]
     phi = args.phi if args.phi is not None else invert_density(family, None, args.rho)
-    for L in sizes:
-        N = int(round(args.rho * L))
+    for L, N in cells:
         table = build_logz(family, L, N)
         ent = relative_entropy_bound(family, L, N, phi)
         tv = tv_distance_marginal(table, family, L, N, phi)
@@ -195,11 +201,10 @@ def cmd_ensembles(args, config: RunConfig) -> int:
 
 def cmd_condense(args, config: RunConfig) -> int:
     family = _load_family(args)
-    sizes = [int(s) for s in args.sizes.split(",")]
+    cells = _density_cells(args)
     rows = ["quantity,L,N,eps,value"]
     rho_c = critical_density(family)
-    for L in sizes:
-        N = int(round(args.rho * L))
+    for L, N in cells:
         table = build_logz(family, L, N)
         frac = condensed_fraction(table, L, N, args.eps)
         alpha = alpha_from_second_moment(table, L, N, args.theta)

@@ -283,8 +283,8 @@ def _weight_row(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
 
 def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.ndarray, int]:
     """log(w(n) phi^n) up to a truncation with relative tail mass < TAIL_TOL."""
-    if not phi >= 0:
-        raise ValueError("phi must be >= 0")
+    if not 0 <= phi < math.inf:
+        raise ValueError("phi must be >= 0 and finite")
     if phi == 0.0:
         logw0 = _weight_row(family, L, 0)[0]
         if logw0 == NEG_INF:

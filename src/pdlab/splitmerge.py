@@ -15,7 +15,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -26,6 +26,8 @@ from .sampler import Configuration, sample_configurations
 from .weights import WeightFamily
 
 LATTICE_TOL = 1e-9
+# rows per lattice-kernel call: bounds the move arrays, a few hundred moves a row
+ROW_BATCH = 512
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +84,10 @@ class CylinderFunction:
 
     def __call__(self, p) -> float:
         arr = p.as_array() if isinstance(p, OrderedPartition) else np.asarray(p, dtype=float)
-        tops = _leading(arr, self.depends_on)
-        return float(self.evaluate_tops(tops[None, :])[0])
+        tops = np.zeros((1, self.depends_on))
+        k = min(self.depends_on, arr.size)
+        tops[0, :k] = arr[:k]
+        return float(self.evaluate_tops(tops)[0])
 
 
 P1 = CylinderFunction.monomial({1: 1}, label="p1")
@@ -93,13 +97,6 @@ P1_PLUS_P2 = CylinderFunction.poly([(1.0, {1: 1}), (1.0, {2: 1})], label="p1+p2"
 EXP_NEG_P1 = CylinderFunction(kind="bounded_exp", terms=((1.0, ((1, 1),)),), label="exp(-p1)")
 
 FUNCTION_LIBRARY = {f.label: f for f in (P1, P1_SQUARED, P1_P2, P1_PLUS_P2, EXP_NEG_P1)}
-
-
-def _leading(arr: np.ndarray, m: int) -> np.ndarray:
-    out = np.zeros(m)
-    k = min(m, arr.size)
-    out[:k] = arr[:k]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,58 +156,56 @@ def _panel_points(lo: float, hi: float, breaks, nodes: int):
     return np.concatenate(us), np.concatenate(ws)
 
 
-@lru_cache(maxsize=64)
-def _pair_indices(k: int):
-    """Index pairs i < j of k blocks; np.triu_indices costs more than a merge sum."""
-    i, j = np.triu_indices(k, 1)
-    i.flags.writeable = j.flags.writeable = False
-    return i, j
+def _tops_after(arr, owner, drop_i, drop_j, new_a, new_b, m: int) -> np.ndarray:
+    """Leading m entries after each move, as a (moves, m) array.
 
-
-def _tops_after(arr, drop_i, drop_j, new_a, new_b, m: int) -> np.ndarray:
-    """Leading m entries after each row's move, as a (rows, m) array.
-
-    Row r removes blocks drop_i[r] and drop_j[r] of the descending array arr
-    (a split drops the same index twice) and adds new_a[r] and new_b[r].  At
-    most two blocks leave, so the leading m entries after the move are among
-    the first m + 2 blocks and the two new values: m + 4 candidates per row.
+    Move r acts on row owner[r] of arr, a (rows, K) array of descending,
+    zero-padded masses: it removes blocks drop_i[r] and drop_j[r] (a split
+    drops the same index twice) and adds new_a[r] and new_b[r].  At most two
+    blocks leave, so the leading m entries after the move are among the first
+    m + 2 blocks of its row and the two new values: m + 4 candidates per move.
     """
-    cands = np.empty((drop_i.size, m + 4))
-    cands[:, : m + 2] = _leading(arr, m + 2)
-    rows = np.arange(drop_i.size)
+    cands = np.zeros((owner.size, m + 4))
+    k = min(m + 2, arr.shape[1])
+    cands[:, :k] = arr[owner, :k]
+    moves = np.arange(owner.size)
     # a drop past the first m + 2 blocks zeroes column m + 2, which new_a then fills
-    cands[rows, np.minimum(drop_i, m + 2)] = 0.0
-    cands[rows, np.minimum(drop_j, m + 2)] = 0.0
+    cands[moves, np.minimum(drop_i, m + 2)] = 0.0
+    cands[moves, np.minimum(drop_j, m + 2)] = 0.0
     cands[:, m + 2] = new_a
     cands[:, m + 3] = new_b
     cands.sort(axis=1)
     return cands[:, ::-1][:, :m]
 
 
-def _move_sum(arr, fs, eps: float, merge_scale: float, block, piece, weight):
-    """Sum over moves of weight * [f(p after the move) - f(p)], for each f in fs.
+def _move_sum(arr, fs, eps: float, merge_scale: float, owner, block, piece, weight):
+    """Per row, sum over its moves of weight * [f(p after the move) - f(p)], for each f in fs.
 
-    arr holds the masses in descending order.  Row 0 is the null move, of
-    weight 0, whose value is f(p).  Merge rows join each pair of blocks >= eps
-    (every positive block when eps = 0), weight merge_scale * 2 p_i p_j.
-    Split row r replaces block[r] by piece[r] and arr[block[r]] - piece[r],
-    weight weight[r].  Returns (applied values, base values f(p)).
+    arr holds descending, zero-padded masses, one row per partition.  Each
+    row gets a null move of weight 0 first, whose value is f(p).  Merge moves
+    join each pair of blocks >= eps (every positive block when eps = 0), a
+    prefix of the row, weight merge_scale * 2 p_i p_j.  Split move r replaces
+    block[r] of row owner[r] by piece[r] and the rest of the block, weight
+    weight[r].  Returns (applied values, base values f(p)), an array over the
+    rows for each f.
     """
     m = max(f.depends_on for f in fs)
-    big = np.flatnonzero(arr >= eps - LATTICE_TOL) if eps > 0.0 else np.flatnonzero(arr > 0.0)
-    pi, pj = (big[t] for t in _pair_indices(big.size))
-    null = np.array([arr.size])
-    tops = _tops_after(
-        arr,
-        np.concatenate((null, pi, block)),
-        np.concatenate((null, pj, block)),
-        np.concatenate(([0.0], arr[pi] + arr[pj], piece)),
-        np.concatenate((np.zeros(1 + pi.size), arr[block] - piece)),
-        m,
-    )
-    wts = np.concatenate(([0.0], 2.0 * merge_scale * arr[pi] * arr[pj], weight))
+    rows = arr.shape[0]
+    n_big = (arr >= eps - LATTICE_TOL if eps > 0.0 else arr > 0.0).sum(axis=1)
+    pi, pj = np.triu_indices(n_big.max(initial=0), 1)
+    mrow, pair = np.nonzero(pj < n_big[:, None])
+    pi, pj = pi[pair], pj[pair]
+    a, b = arr[mrow, pi], arr[mrow, pj]
+    null = np.full(rows, m + 2)
+    owners = np.concatenate((np.arange(rows), mrow, owner))
+    drop_i, drop_j = np.concatenate((null, pi, block)), np.concatenate((null, pj, block))
+    new_a = np.concatenate((np.zeros(rows), a + b, piece))
+    new_b = np.concatenate((np.zeros(rows + a.size), arr[owner, block] - piece))
+    tops = _tops_after(arr, owners, drop_i, drop_j, new_a, new_b, m)
+    wts = np.concatenate((np.zeros(rows), 2.0 * merge_scale * a * b, weight))
     vals = [f.evaluate_tops(tops) for f in fs]
-    return [float(np.dot(wts, v - v[0])) for v in vals], [float(v[0]) for v in vals]
+    applied = [np.bincount(owners, weights=wts * (v - v[owners]), minlength=rows) for v in vals]
+    return applied, [v[:rows] for v in vals]
 
 
 def generator_apply(theta: float, p: OrderedPartition, f: CylinderFunction) -> float:
@@ -259,10 +254,9 @@ def cutoff_generator_apply(
             # the larger piece, so that v minus it is exact (Sterbenz) and the pieces sum to v
             pieces.append(np.maximum(us, 1.0 - us) * v)
             weights.append(theta * v * v * ws)
-    applied, _ = _move_sum(
-        arr, (f,), eps, 1.0, np.concatenate(blocks), np.concatenate(pieces), np.concatenate(weights)
-    )
-    return applied[0]
+    block, piece, weight = (np.concatenate(parts) for parts in (blocks, pieces, weights))
+    applied, _ = _move_sum(arr[None, :], (f,), eps, 1.0, np.zeros_like(block), block, piece, weight)
+    return float(applied[0][0])
 
 
 def _lattice_check(arr: np.ndarray, N: int) -> np.ndarray:
@@ -273,13 +267,13 @@ def _lattice_check(arr: np.ndarray, N: int) -> np.ndarray:
 
 
 def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
-    """Lattice generator on descending particle counts, for each f in fs.
+    """Lattice generator on rows of descending particle counts, for each f in fs.
 
-    Masses are counts / N; trailing zero counts are allowed.  Split row
-    (i, k) moves k particles of block i to a new block, for k from
+    Masses are counts / N; rows are zero-padded to width K.  Split move
+    (row, i, k) moves k particles of block i to a new block, for k from
     ceil(eps N) to floor(c_i - eps N), with weight theta p_i / (N - 1);
     merges carry the factor N / (N - 1).  Returns (applied values, base
-    values f(p)).
+    values f(p)), one array over the rows for each f.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -288,13 +282,16 @@ def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
     if not theta >= 0.0:
         raise ValueError("theta must be >= 0")
     arr = counts / N
-    block = np.flatnonzero((arr >= 2 * eps - LATTICE_TOL) & (theta != 0.0))
+    row, block = np.nonzero((arr >= 2 * eps - LATTICE_TOL) & (theta != 0.0))
     k_lo = max(1, math.ceil(eps * N - LATTICE_TOL))
-    c = counts[block]
-    k_hi = np.minimum(c - 1, np.floor(c - eps * N + LATTICE_TOL))
-    row, col = np.nonzero(np.arange(k_lo, N) <= k_hi[:, None])
-    block, k = block[row], k_lo + col
-    return _move_sum(arr, fs, eps, N / (N - 1), block, k / N, theta / (N - 1) * arr[block])
+    c = counts[row, block]
+    k_hi = np.minimum(c - 1, np.floor(c - eps * N + LATTICE_TOL)).astype(np.int64)
+    # each (row, block) cell splits off k = k_lo .. k_hi: a run of that length per cell
+    run = np.maximum(k_hi - k_lo + 1, 0)
+    row, block = np.repeat(row, run), np.repeat(block, run)
+    k = k_lo + np.arange(row.size) - np.repeat(np.cumsum(run) - run, run)
+    weight = theta / (N - 1) * arr[row, block]
+    return _move_sum(arr, fs, eps, N / (N - 1), row, block, k / N, weight)
 
 
 def discrete_generator_apply(
@@ -306,8 +303,8 @@ def discrete_generator_apply(
     act on blocks >= 2 eps and enumerate lattice split points k from
     ceil(eps N) to floor(N (p_i - eps)).
     """
-    applied, _ = _lattice_apply(theta, N, eps, _lattice_check(p.as_array(), N), (f,))
-    return applied[0]
+    applied, _ = _lattice_apply(theta, N, eps, _lattice_check(p.as_array(), N)[None, :], (f,))
+    return float(applied[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +576,8 @@ class DefectResult:
     params: dict
 
     def to_json_dict(self) -> dict:
-        doc = dict(self.params)
-        doc.update(
-            {"defect": self.defect, "se": self.stderr, "mode": self.mode, "n": self.n}
-        )
-        return doc
+        return {**self.params, "defect": self.defect, "se": self.stderr, "mode": self.mode,
+                "n": self.n}
 
 
 EXACT_STATE_CAP = 10**7
@@ -609,11 +603,12 @@ def _partition_count(n: int, parts: int) -> int:
 def _partitions(n: int, parts: int, largest: int):
     """Partitions of n into at most ``parts`` parts, none above ``largest``, descending.
 
-    The head runs down from min(n, largest) to ceil(n / parts), the least head
-    the remaining parts can follow, so no branch is a dead end.
+    Each is zero-padded to ``parts`` entries.  The head runs down from
+    min(n, largest) to ceil(n / parts), the least head the remaining parts
+    can follow, so no branch is a dead end.
     """
     if n == 0:
-        yield ()
+        yield (0,) * parts
         return
     for head in range(min(n, largest), -(-n // parts) - 1, -1):
         for rest in _partitions(n - head, parts - 1, head):
@@ -637,28 +632,18 @@ def reversibility_defect(
 
     The integrand h = f G g - g G f depends only on the sorted partition of a
     configuration.  Exact mode enumerates the partitions of N into at most L
-    parts, each weighted by its canonical probability times the number
-    L! / ((L - l)! prod_j m_j!) of configurations that sort to it (l parts,
-    m_j of size j); it refuses more than 10^7 partitions, and ``n`` is their
-    count.  mc mode averages h over ``samples`` exact canonical draws, one h
-    per distinct sorted configuration of each chunk, and reports a standard
-    error; ``n`` is the sample count.  The defect is antisymmetric in (f, g)
-    by construction.
+    parts, each a row of L sorted counts weighted by its canonical probability
+    times the number L! / prod_v m_v! of configurations that sort to it (m_v
+    entries equal to v, zeros counted as a value); a row of weight 0 adds
+    0 * h.  It refuses more than 10^7 partitions, and ``n`` is their count.
+    mc mode averages h over ``samples`` exact canonical draws, one h per
+    distinct sorted configuration of each chunk, and reports a standard
+    error; ``n`` is the sample count.  Both modes pass their rows to the
+    lattice generator ROW_BATCH at a time.  The defect is antisymmetric in
+    (f, g) by construction.
     """
-    params = {
-        "family": family.to_json_dict(),
-        "L": L,
-        "N": N,
-        "eps": eps,
-        "theta": theta,
-        "f": f.label or "f",
-        "g": g.label or "g",
-    }
-
-    def h_value(counts: np.ndarray) -> float:
-        applied, base = _lattice_apply(theta, N, eps, counts, (f, g))
-        return base[0] * applied[1] - base[1] * applied[0]
-
+    params = {"family": family.to_json_dict(), "L": L, "N": N, "eps": eps, "theta": theta,
+              "f": f.label or "f", "g": g.label or "g"}
     if mode == "exact":
         n_states = _partition_count(N, L)
         if n_states > EXACT_STATE_CAP:
@@ -668,42 +653,52 @@ def reversibility_defect(
             )
         table = cached_logz(family, L, N)
         _check_cell(table, L, N)
-        logw = table.log_w
-        log_norm = math.lgamma(L + 1) - float(table.logz[L, N])
-        total = 0.0
-        for parts in _partitions(N, L, N):
-            row = np.zeros(L, dtype=np.int64)
-            row[: len(parts)] = parts
-            # summing over all L sites keeps an exact zero weight, w(0) too, at -inf
-            log_weight = float(np.sum(logw[row])) + log_norm - math.lgamma(L - len(parts) + 1)
-            log_weight -= sum(math.lgamma(m + 1) for m in Counter(parts).values())
-            weight = math.exp(log_weight)
-            if weight == 0.0:
-                continue
-            total += weight * h_value(row)
-        return DefectResult(defect=total, stderr=None, mode="exact", n=n_states, params=params)
-
-    if mode != "mc":
+        batches = _exact_batches(table, L, N)
+    elif mode == "mc":
+        if not samples or samples < 2:
+            raise ValueError("mc mode needs a sample count >= 2")
+        batches = _mc_batches(cached_logz(family, L, N), L, N, samples, _as_generator(rng), chunk)
+    else:
         raise ValueError("mode must be 'exact' or 'mc'")
-    if not samples or samples < 2:
-        raise ValueError("mc mode needs a sample count >= 2")
-    gen = _as_generator(rng)
-    table = cached_logz(family, L, N)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < samples:
-        take = min(chunk, samples - done)
-        occ = sample_configurations(table, L, N, take, gen)
-        # group equal sorted rows by their bytes; np.unique(axis=0) compares
-        # rows field by field and costs more than the draws on wide rows
-        groups = Counter(map(bytes, np.sort(occ, axis=1)))
-        for key, count in groups.items():
-            h = h_value(np.frombuffer(key, dtype=occ.dtype)[::-1])
-            total += count * h
-            total_sq += count * h * h
-        done += take
+
+    total = total_sq = 0.0
+    for rows, weights in batches:
+        applied, base = _lattice_apply(theta, N, eps, rows, (f, g))
+        h = base[0] * applied[1] - base[1] * applied[0]
+        total += float(np.dot(weights, h))
+        total_sq += float(np.dot(weights, h * h))
+    if mode == "exact":
+        return DefectResult(defect=total, stderr=None, mode="exact", n=n_states, params=params)
     mean = total / samples
     var = max(total_sq - samples * mean * mean, 0.0) / (samples - 1)
     stderr = math.sqrt(var / samples)
     return DefectResult(defect=mean, stderr=stderr, mode="mc", n=samples, params=params)
+
+
+def _exact_batches(table, L: int, N: int):
+    """(rows, probability times multiplicity) of the partitions of N, ROW_BATCH at a time."""
+    log_norm = math.lgamma(L + 1) - float(table.logz[L, N])
+    sites = np.arange(L)
+    parts = _partitions(N, L, N)
+    while batch := list(islice(parts, ROW_BATCH)):
+        rows = np.array(batch, dtype=np.int64)
+        # sum_v log m_v! is the sum of log(rank) over each run of equal entries
+        starts = np.where(np.diff(rows, axis=1, prepend=-1) != 0, sites, 0)
+        log_mult = np.log(sites - np.maximum.accumulate(starts, axis=1) + 1).sum(axis=1)
+        # summing over all L sites keeps an exact zero weight, w(0) too, at -inf
+        yield rows, np.exp(table.log_w[rows].sum(axis=1) + log_norm - log_mult)
+
+
+def _mc_batches(table, L: int, N: int, samples: int, gen, chunk: int):
+    """(distinct sorted rows, their counts) of each chunk of draws, ROW_BATCH at a time."""
+    for done in range(0, samples, chunk):
+        occ = sample_configurations(table, L, N, min(chunk, samples - done), gen)
+        occ.sort(axis=1)
+        # group equal sorted rows by their bytes; np.unique(axis=0) compares
+        # rows field by field and costs more than the draws on wide rows
+        groups = iter(Counter(map(bytes, occ)).items())
+        del occ  # free the draws before the kernel runs, to keep peak memory down
+        while batch := list(islice(groups, ROW_BATCH)):
+            keys, counts = zip(*batch)
+            rows = np.frombuffer(b"".join(keys), dtype=np.int64).reshape(-1, L)[:, ::-1]
+            yield rows, np.array(counts, dtype=float)

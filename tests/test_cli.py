@@ -256,6 +256,15 @@ class TestEnsembles:
                    *argv, "--sizes", "4")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--rho", "0.25", "--phi", "inf"], ["--rho", "inf", "--phi", "0.5"]], ids=["phi", "rho"]
+    )
+    def test_infinite_fugacity_or_density_is_config_error(self, tmp_path, bulk_family, argv):
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "ensembles", *argv, "--sizes", "4")
+        assert code == 2
+        assert not (out / "ensembles.csv").exists()
+
 
 class TestNumericFailure:
     def test_supercritical_density_exits_3(self, tmp_path, bulk_family, capsys):
@@ -326,6 +335,13 @@ class TestCondense:
         assert len(frac_rows) == 2
         target = next(l for l in lines if l.startswith("alpha_target"))
         assert float(target.split(",")[4]) == pytest.approx(0.75)
+
+    def test_infinite_density_is_config_error(self, tmp_path, bulk_family):
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "condense",
+                   "--rho", "inf", "--theta", "1", "--sizes", "4")
+        assert code == 2
+        assert not (out / "condense.csv").exists()
 
 
 class TestNonFiniteInput:

@@ -314,7 +314,7 @@ class TestGrandCanonical:
         assert np.array_equal(gc.pmf(), p / p.sum())
 
     @pytest.mark.parametrize("L", [None, 10])
-    @pytest.mark.parametrize("phi", [-0.5, math.nan])
+    @pytest.mark.parametrize("phi", [-0.5, math.nan, math.inf])
     def test_bad_fugacity_rejected(self, L, phi):
         with pytest.raises(ValueError, match="phi must be >= 0"):
             grand_canonical_stats(BULK, L, phi)

@@ -115,11 +115,11 @@ def slow_cutoff_apply(theta, eps, p: OrderedPartition, f, nodes: int = 64) -> fl
     return total_merge + theta * total_split
 
 
-def tops_after_per_row(arr, drop_i, drop_j, new_a, new_b, m):
-    """Remove the dropped blocks, add the new values, sort, zero-pad to m: row by row."""
+def tops_after_per_row(arr, owner, drop_i, drop_j, new_a, new_b, m):
+    """Remove the owner row's dropped blocks, add the new values, sort, zero-pad to m: per move."""
     out = []
     for r in range(len(drop_i)):
-        vals = [v for t, v in enumerate(arr) if t not in (drop_i[r], drop_j[r])]
+        vals = [v for t, v in enumerate(arr[owner[r]]) if t not in (drop_i[r], drop_j[r])]
         vals += [new_a[r], new_b[r]]
         vals.sort(reverse=True)
         out.append((vals + [0.0] * m)[:m])
@@ -128,23 +128,30 @@ def tops_after_per_row(arr, drop_i, drop_j, new_a, new_b, m):
 
 @st.composite
 def moves_on_partitions(draw):
-    """A descending mass array, m, and a list of merge and split rows on it."""
+    """Descending mass rows zero-padded to one width, m, and merge and split moves on them.
+
+    One to three rows; each move carries the index of the row it acts on.
+    """
     grid = [0.5, 0.25, 0.2, 0.125, 0.1, 0.0625]
-    masses = draw(st.lists(st.sampled_from(grid) | st.floats(1e-6, 1.0), min_size=1, max_size=9))
-    arr = np.array(sorted(masses, reverse=True))
+    masses = st.lists(st.sampled_from(grid) | st.floats(1e-6, 1.0), min_size=1, max_size=9)
+    parts = [sorted(draw(masses), reverse=True) for _ in range(draw(st.integers(1, 3)))]
+    width = max(map(len, parts))
+    arr = np.array([p + [0.0] * (width - len(p)) for p in parts])
     m = draw(st.integers(1, 4))
-    rows = []
+    moves = []
     for _ in range(draw(st.integers(1, 6))):
-        if arr.size >= 2 and draw(st.booleans()):
-            i, j = sorted(draw(st.lists(st.integers(0, arr.size - 1), min_size=2, max_size=2, unique=True)))
-            rows.append((i, j, arr[i] + arr[j], 0.0))
+        owner = draw(st.integers(0, len(parts) - 1))
+        size, row = len(parts[owner]), arr[owner]
+        if size >= 2 and draw(st.booleans()):
+            i, j = sorted(draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True)))
+            moves.append((owner, i, j, row[i] + row[j], 0.0))
         else:
-            i = draw(st.integers(0, arr.size - 1))
+            i = draw(st.integers(0, size - 1))
             # a piece equal to another block's mass makes a tie
-            piece = min(draw(st.sampled_from(grid) | st.floats(0.0, 1.0)), arr[i])
-            rows.append((i, i, piece, arr[i] - piece))
-    drop_i, drop_j, new_a, new_b = (np.array(col) for col in zip(*rows))
-    return arr, m, drop_i, drop_j, new_a, new_b
+            piece = min(draw(st.sampled_from(grid) | st.floats(0.0, 1.0)), row[i])
+            moves.append((owner, i, i, piece, row[i] - piece))
+    owner, drop_i, drop_j, new_a, new_b = (np.array(col) for col in zip(*moves))
+    return arr, m, owner, drop_i, drop_j, new_a, new_b
 
 
 class TestCylinderFunctions:
@@ -366,15 +373,22 @@ class TestDiscreteGenerator:
 
 @st.composite
 def lattice_cases(draw):
-    """N, descending counts with trailing zeros (total <= N) and a cutoff, some on the 1/N grid."""
+    """N, rows of descending counts (each total <= N) of different lengths, and a cutoff.
+
+    The rows are zero-padded to one width, with up to three more zero
+    columns; some cutoffs lie on the 1/N grid.
+    """
     N = draw(st.integers(2, 120))
-    total = draw(st.integers(0, N))
-    cuts = draw(st.lists(st.integers(0, total), max_size=7))
-    parts = np.diff(np.array(sorted([0, *cuts, total])))
-    counts = np.sort(parts[parts > 0])[::-1]
-    counts = np.concatenate((counts, np.zeros(draw(st.integers(0, 3)), dtype=counts.dtype)))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        total = draw(st.integers(0, N))
+        cuts = draw(st.lists(st.integers(0, total), max_size=7))
+        parts = np.diff(np.array(sorted([0, *cuts, total])))
+        rows.append(sorted(parts[parts > 0].tolist(), reverse=True))
+    width = max(map(len, rows)) + draw(st.integers(0, 3))
+    counts = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
     eps = draw(st.floats(1e-3, 0.6) | st.integers(1, 12).map(lambda j: j / N))
-    return N, counts.astype(np.int64), eps
+    return N, counts, eps
 
 
 class TestKernelsAgainstPerBlockReference:
@@ -387,17 +401,19 @@ class TestKernelsAgainstPerBlockReference:
             assert got == 0.0
 
     @given(case=lattice_cases(), theta=st.just(0.0) | st.floats(0.0, 3.0))
-    @example(case=(12, np.array([4, 4, 4, 0]), 1 / 12), theta=1.0)
-    @example(case=(10, np.array([10]), 0.5), theta=0.0)
+    @example(case=(12, np.array([[4, 4, 4, 0]]), 1 / 12), theta=1.0)
+    @example(case=(12, np.array([[4, 4, 4, 0], [6, 3, 0, 0], [12, 0, 0, 0]]), 1 / 12), theta=1.0)
+    @example(case=(10, np.array([[10]]), 0.5), theta=0.0)
     @settings(max_examples=300, deadline=None)
     def test_lattice(self, case, theta):
         N, counts, eps = case
         fs = tuple(FUNCTION_LIBRARY.values())
         got, got_base = _lattice_apply(theta, N, eps, counts, fs)
-        want, want_base = lattice_apply_per_row(theta, N, eps, counts[counts > 0] / N, fs)
-        assert got_base == want_base
-        for a, b in zip(got, want):
-            self.assert_close(a, b)
+        for r, row in enumerate(counts):
+            want, want_base = lattice_apply_per_row(theta, N, eps, row[row > 0] / N, fs)
+            assert [base[r] for base in got_base] == want_base
+            for a, b in zip(got, want):
+                self.assert_close(a[r], b)
 
     @given(
         weights=st.lists(st.sampled_from([1.0, 0.5, 0.25]) | st.floats(1e-3, 1.0), min_size=1, max_size=6),
@@ -420,9 +436,9 @@ class TestTopsAfterMoves:
     @given(case=moves_on_partitions())
     @settings(max_examples=300, deadline=None)
     def test_matches_remove_add_sort(self, case):
-        arr, m, drop_i, drop_j, new_a, new_b = case
-        got = _tops_after(arr, drop_i, drop_j, new_a, new_b, m)
-        assert got.tolist() == tops_after_per_row(arr.tolist(), drop_i, drop_j, new_a, new_b, m)
+        arr, m, owner, drop_i, drop_j, new_a, new_b = case
+        got = _tops_after(arr, owner, drop_i, drop_j, new_a, new_b, m)
+        assert got.tolist() == tops_after_per_row(arr.tolist(), owner, drop_i, drop_j, new_a, new_b, m)
 
 
 class TestSimulate:
@@ -698,13 +714,14 @@ class TestReversibilityDefect:
         assert abs(mc.defect - exact.defect) < 3 * mc.stderr
 
     def test_mc_cross_validates_exact_at_10_40(self):
-        # the largest cell exact mode reaches in seconds: 16,928 partitions
-        exact = reversibility_defect(self.FAM, 10, 40, 0.1, 0.5, P1, P1_P2, mode="exact")
-        mc = reversibility_defect(
-            self.FAM, 10, 40, 0.1, 0.5, P1, P1_P2, mode="mc", samples=20_000, rng=SeededRng(40)
-        )
-        assert exact.n == 16_928
-        assert abs(mc.defect - exact.defect) < 3 * mc.stderr
+        # and at (14, 50), 127,786 partitions, which batched rows make a second's work
+        for L, N, n_states in [(10, 40, 16_928), (14, 50, 127_786)]:
+            exact = reversibility_defect(self.FAM, L, N, 0.1, 0.5, P1, P1_P2, mode="exact")
+            mc = reversibility_defect(
+                self.FAM, L, N, 0.1, 0.5, P1, P1_P2, mode="mc", samples=20_000, rng=SeededRng(40)
+            )
+            assert exact.n == n_states
+            assert abs(mc.defect - exact.defect) < 3 * mc.stderr
 
     def test_exact_cap_enforced(self):
         with pytest.raises(ValueError, match="mc"):
@@ -715,7 +732,7 @@ class TestReversibilityDefect:
             for N in range(13):
                 parts = list(_partitions(N, L, N))
                 sorted_configs = {tuple(sorted(c, reverse=True)) for c in enumerate_configs(L, N)}
-                assert {p + (0,) * (L - len(p)) for p in parts} == sorted_configs
+                assert set(parts) == sorted_configs
                 assert _partition_count(N, L) == len(parts) == len(sorted_configs)
 
     @given(
