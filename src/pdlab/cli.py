@@ -136,7 +136,10 @@ def cmd_splitmerge(args, config: RunConfig) -> int:
         raise ConfigError("--t-max must be positive and finite")
     if args.records < 1:
         raise ConfigError("--records must be >= 1")
-    p0 = OrderedPartition.from_masses(json.loads(args.p0))
+    masses = json.loads(args.p0)
+    if not isinstance(masses, list) or any(type(v) not in (int, float) for v in masses):
+        raise ConfigError("--p0 must be a JSON list of real numbers")
+    p0 = OrderedPartition.from_masses(masses)
     times = np.linspace(args.t_max / args.records, args.t_max, args.records)
     states = simulate(args.theta, p0, args.t_max, SeededRng(args.seed), sample_times=times)
     rows = ["time,p1,p2,p3,l2sq,merges,splits"]
@@ -187,7 +190,7 @@ def cmd_ensembles(args, config: RunConfig) -> int:
     for L, N in cells:
         table = build_logz(family, L, N)
         ent = relative_entropy_bound(family, L, N, phi)
-        tv = tv_distance_marginal(table, family, L, N, phi)
+        tv = tv_distance_marginal(table, L, N, phi)
         rows.append(f"entropy_bound,{L},{N},{phi!r},{ent!r}")
         rows.append(f"tv_distance,{L},{N},{phi!r},{tv!r}")
         clt = local_clt_report(family, L)

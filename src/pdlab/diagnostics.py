@@ -14,6 +14,8 @@ from .report import DiagnosticsReport
 
 def condensed_fraction(table: LogZTable, L: int, N: int, eps: float) -> float:
     """Exact probability that a size-biased block exceeds eps N particles."""
+    if not eps >= 0.0:
+        raise ValueError("eps must be >= 0")
     if eps >= 1.0:
         return 0.0
     if eps * N < 1.0:

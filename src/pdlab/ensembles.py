@@ -23,6 +23,7 @@ from .report import DiagnosticsReport
 from .weights import (
     NEG_INF,
     WeightFamily,
+    limit_support,
     limit_weight_row,
     log_weight_row,
     weight_sup_distance,
@@ -275,18 +276,12 @@ class GrandCanonical:
         return p / p.sum()
 
 
-def _weight_row(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
-    if L is None:
-        return limit_weight_row(family, N)
-    return log_weight_row(family, L, N)
-
-
 def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.ndarray, int]:
     """log(w(n) phi^n) up to a truncation with relative tail mass < TAIL_TOL."""
     if not 0 <= phi < math.inf:
         raise ValueError("phi must be >= 0 and finite")
     if phi == 0.0:
-        logw0 = _weight_row(family, L, 0)[0]
+        logw0 = log_weight_row(family, L, 0)[0]
         if logw0 == NEG_INF:
             raise OutOfDomainError("w(0) = 0 and phi = 0 leave an empty law")
         return np.array([logw0]), 0
@@ -295,7 +290,7 @@ def _tilted_terms(family: WeightFamily, L: int | None, phi: float) -> tuple[np.n
     hi = 256
     cap = 1 << 21
     while True:
-        logw = _weight_row(family, L, hi)
+        logw = log_weight_row(family, L, hi)
         terms = logw + logphi * np.arange(hi + 1)
         finite = terms > NEG_INF
         if not finite.any():
@@ -341,8 +336,6 @@ def grand_canonical_stats(family: WeightFamily, L: int | None, phi: float) -> Gr
 
 def critical_density(family: WeightFamily) -> float:
     """First moment of the limiting weights, sum_n n w(n)."""
-    from .weights import limit_support
-
     top = limit_support(family)
     w = np.exp(limit_weight_row(family, top))
     return float(np.dot(np.arange(top + 1, dtype=float), w))
@@ -450,12 +443,10 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
     return -(math.log(vec[N]) + log_scale) / L
 
 
-def tv_distance_marginal(
-    table: LogZTable, family: WeightFamily, L: int, N: int, phi: float
-) -> float:
-    """Total-variation distance between the exact single-site marginal and the tilted law."""
+def tv_distance_marginal(table: LogZTable, L: int, N: int, phi: float) -> float:
+    """Total-variation distance between the exact single-site marginal and its family's tilted law."""
     pi = single_site_marginals(table, L, N)
-    gc = grand_canonical_stats(family, L, phi)
+    gc = grand_canonical_stats(table.family, L, phi)
     nu = gc.pmf()
     k = min(pi.size, nu.size)
     dist = float(np.abs(pi[:k] - nu[:k]).sum())

@@ -127,7 +127,7 @@ def stick_breaking_batch(
     theta: float,
     alpha: float,
     count: int,
-    rng: np.random.Generator,
+    rng,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorised stick-breaking: (count, K) matrix of unsorted pieces and residuals.
 
@@ -139,12 +139,13 @@ def stick_breaking_batch(
         raise ValueError("theta must be positive")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    g = _as_generator(rng)
     blocks: list[np.ndarray] = []
     residual = np.full(count, alpha)
     k = 0
     while k < K_MAX and float(residual.max()) >= TRUNC_EPS:
         step = min(64, K_MAX - k)
-        u = rng.beta(1.0, theta, size=(count, step))
+        u = g.beta(1.0, theta, size=(count, step))
         keep = residual[:, None] * np.cumprod(1.0 - u, axis=1)
         pieces = residual[:, None] * u
         pieces[:, 1:] = keep[:, :-1] * u[:, 1:]

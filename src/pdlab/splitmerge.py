@@ -131,20 +131,21 @@ def split(p: OrderedPartition, i: int, u: float) -> OrderedPartition:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
-def _gauss_legendre(nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    return x, w
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    # 64 nodes integrate each panel of a polynomial of degree <= 127 exactly;
+    # np.polynomial is read on first use, not at import, to keep import RSS down
+    return np.polynomial.legendre.leggauss(64)
 
 
-def _panel_points(lo: float, hi: float, breaks, nodes: int):
+def _panel_points(lo: float, hi: float, breaks):
     """Gauss-Legendre nodes and weights on [lo, hi], subdivided at breakpoints.
 
     The integrands here are piecewise smooth with kinks where the sorted
     order changes, so panel-wise quadrature is exact to machine precision for
     polynomial test functions.
     """
-    x, w = _gauss_legendre(nodes)
+    x, w = _gauss_legendre()
     pts = sorted({lo, hi, *(b for b in breaks if lo < b < hi)})
     # a block of exactly 2 eps has lo == hi: no panel, no split point
     us, ws = [np.empty(0)], [np.empty(0)]
@@ -224,7 +225,6 @@ def cutoff_generator_apply(
     eps: float,
     p: OrderedPartition,
     f: CylinderFunction,
-    quadrature_nodes: int = 64,
 ) -> float:
     """Apply the eps-cutoff generator, the exact large-N limit of the lattice one.
 
@@ -249,7 +249,7 @@ def cutoff_generator_apply(
             # a piece passes another block q where u = q / v or 1 - q / v
             ratios = [q / v for q in vals if q < v]
             breaks = {0.5, *ratios, *(1.0 - r for r in ratios)}
-            us, ws = _panel_points(eps / v, 1.0 - eps / v, breaks, quadrature_nodes)
+            us, ws = _panel_points(eps / v, 1.0 - eps / v, breaks)
             blocks.append(np.full(us.size, i))
             # the larger piece, so that v minus it is exact (Sterbenz) and the pieces sum to v
             pieces.append(np.maximum(us, 1.0 - us) * v)

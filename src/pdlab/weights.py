@@ -1,10 +1,10 @@
 """Size-dependent stationary weight families and numerical checks of their scaling.
 
 A family provides single-site weights ``w_L(n)`` for every system size L,
-together with the limiting weights ``w(n) = lim_L w_L(n)``.  Everything
-downstream (partition functions, marginals, grand-canonical tilts) consumes
-weights through :func:`log_weight_row`, so exact zeros are represented as
-``-inf`` throughout.
+together with the limiting weights ``w(n) = lim_L w_L(n)``, which are its
+L = None row.  Everything downstream (partition functions, marginals,
+grand-canonical tilts) consumes weights through :func:`log_weight_row`, so
+exact zeros are represented as ``-inf`` throughout.
 """
 
 from __future__ import annotations
@@ -130,10 +130,6 @@ class WeightFamily:
 
     # -- misc ----------------------------------------------------------
 
-    def d(self, L: int) -> float:
-        """Inclusion-kind parameter d = theta / L."""
-        return self.theta / L
-
     def to_json_dict(self) -> dict:
         doc: dict = {"kind": self.kind, "theta": self.theta}
         if self.kind == "bulk_tail":
@@ -152,7 +148,7 @@ class WeightFamily:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def _table_sequence(family: WeightFamily, L: int) -> tuple[float, ...]:
+def _table_sequence(family: WeightFamily, L: int | None) -> tuple[float, ...]:
     for Lkey, seq in family.table_per_L:
         if Lkey == L:
             return seq
@@ -169,16 +165,18 @@ def _log_seq(seq, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _log_weight_row_cached(family: WeightFamily, L: int, N: int) -> np.ndarray:
+def _log_weight_row_cached(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
     if family.kind == "inclusion":
-        d = family.d(L)
+        d = 0.0 if L is None else family.theta / L
         # log w_L(n) accumulated from the ratio (n + d)/(n + 1); this stays
         # accurate for d ~ 1e-8 where forming Gamma(d) directly would not.
+        # At d = 0 (the limit) the first ratio is log 0 = -inf, so w(n) = 0 for n >= 1.
         j = np.arange(N, dtype=float)
-        row = np.concatenate(([0.0], np.cumsum(np.log(j + d) - np.log(j + 1.0))))
+        with np.errstate(divide="ignore"):
+            row = np.concatenate(([0.0], np.cumsum(np.log(j + d) - np.log(j + 1.0))))
     elif family.kind == "bulk_tail":
         row = _log_seq(family.bulk, N)
-        if N > family.A:
+        if L is not None and N > family.A:
             n = np.arange(family.A + 1, N + 1, dtype=float)
             row[family.A + 1 :] = math.log(family.theta) - np.log(n) - math.log(L)
     else:
@@ -187,15 +185,19 @@ def _log_weight_row_cached(family: WeightFamily, L: int, N: int) -> np.ndarray:
     return row
 
 
-def log_weight_row(family: WeightFamily, L: int, N: int) -> np.ndarray:
-    """log w_L(n) for n = 0..N as a read-only array."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+def _row(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
     if N < 0:
         raise ValueError("N must be >= 0")
     # round the cached length up so scans with growing N reuse one row
     span = max(256, 1 << int(math.ceil(math.log2(N + 1))))
     return _log_weight_row_cached(family, L, span)[: N + 1]
+
+
+def log_weight_row(family: WeightFamily, L: int | None, N: int) -> np.ndarray:
+    """log w_L(n) for n = 0..N as a read-only array; L = None gives the limit w."""
+    if L is not None and L < 1:
+        raise ValueError("L must be >= 1")
+    return _row(family, L, N)
 
 
 def log_weight(family: WeightFamily, L: int, n: int) -> float:
@@ -205,25 +207,9 @@ def log_weight(family: WeightFamily, L: int, n: int) -> float:
     return float(log_weight_row(family, L, n)[n])
 
 
-@lru_cache(maxsize=256)
-def _limit_row_cached(family: WeightFamily, N: int) -> np.ndarray:
-    if family.kind == "inclusion":
-        row = np.full(N + 1, NEG_INF)
-        row[0] = 0.0
-    elif family.kind == "bulk_tail":
-        row = _log_seq(family.bulk, N)
-    else:
-        row = _log_seq(family.table, N)
-    row.setflags(write=False)
-    return row
-
-
 def limit_weight_row(family: WeightFamily, N: int) -> np.ndarray:
     """log w(n) for n = 0..N, where w is the pointwise limit of w_L."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    span = max(256, 1 << int(math.ceil(math.log2(N + 1))))
-    return _limit_row_cached(family, span)[: N + 1]
+    return _row(family, None, N)
 
 
 def log_limit_weight(family: WeightFamily, n: int) -> float:
@@ -233,15 +219,9 @@ def log_limit_weight(family: WeightFamily, n: int) -> float:
 
 
 def limit_support(family: WeightFamily) -> int:
-    """Largest n with w(n) > 0 (all families here have finitely supported limits)."""
-    if family.kind == "inclusion":
-        return 0
-    seq = family.bulk if family.kind == "bulk_tail" else family.table
-    top = 0
-    for n, w in enumerate(seq):
-        if w > 0:
-            top = n
-    return top
+    """Largest n with w(n) > 0, or 0 if w vanishes (every limit here is finitely supported)."""
+    support = np.flatnonzero(_row(family, None, len(family.bulk or family.table or ())) > NEG_INF)
+    return int(support[-1]) if support.size else 0
 
 
 def weight_sup_distance(family: WeightFamily, L: int) -> float:
@@ -267,6 +247,8 @@ def assumption_report(
     """
     if eps * N < 1:
         raise ValueError("eps * N must be at least 1 (empty supremum range)")
+    if J < 0:
+        raise ValueError("J must be >= 0")
     span = max(N, int(math.ceil(L)))
     logw = log_weight_row(family, L, span)
     n = np.arange(span + 1, dtype=float)

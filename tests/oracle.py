@@ -191,7 +191,7 @@ def lattice_apply_per_row(theta: float, N: int, eps: float, arr: np.ndarray, fs)
     return applied, base
 
 
-def cutoff_apply_per_row(theta: float, eps: float, arr: np.ndarray, f, quadrature_nodes: int = 64) -> float:
+def cutoff_apply_per_row(theta: float, eps: float, arr: np.ndarray, f) -> float:
     """eps-cutoff generator on descending masses arr, one split integral per block.
 
     Uses the library's panel nodes, so it checks how the moves are assembled
@@ -214,7 +214,7 @@ def cutoff_apply_per_row(theta: float, eps: float, arr: np.ndarray, f, quadratur
             for q in others:
                 if 0 < q < v:
                     breaks.update((q / v, 1.0 - q / v))
-            us, ws = _panel_points(lo, 1.0 - lo, breaks, quadrature_nodes)
+            us, ws = _panel_points(lo, 1.0 - lo, breaks)
             tops = split_tops(leading(others, m), us * v, (1.0 - us) * v, m)
             integral = float(np.dot(ws, f.evaluate_tops(tops)))
             split_part += v * v * (integral - (1.0 - 2.0 * lo) * base)

@@ -224,7 +224,7 @@ class TestCriterion6EquivalenceOfEnsembles:
             N = L // 4
             table = build_logz(BULK, L, N)
             ents.append(relative_entropy_bound(BULK, L, N, phi))
-            tvs.append(tv_distance_marginal(table, BULK, L, N, phi))
+            tvs.append(tv_distance_marginal(table, L, N, phi))
         assert strictly_decreasing(ents)
         assert strictly_decreasing(tvs)
         report(

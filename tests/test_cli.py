@@ -177,6 +177,14 @@ class TestSplitMerge:
         assert code == 2
         assert "--records" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p0", ["5", "[null]", "[[0.5]]", "[true]"])
+    def test_p0_must_be_a_list_of_reals(self, tmp_path, p0):
+        out = tmp_path / "o"
+        code = run("--seed", "1", "--out", str(out), "splitmerge", "--theta", "1",
+                   "--t-max", "5", "--records", "5", "--p0", p0)
+        assert code == 2
+        assert not (out / "trajectory.csv").exists()
+
 
 class TestReversibility:
     def test_f_equals_g_zero_row(self, tmp_path, bulk_family):
@@ -343,6 +351,14 @@ class TestCondense:
         assert code == 2
         assert not (out / "condense.csv").exists()
 
+    @pytest.mark.parametrize("eps", ["-1", "nan"])
+    def test_eps_below_zero_is_config_error(self, tmp_path, bulk_family, eps):
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "condense",
+                   "--rho", "2", "--theta", "1", "--eps", eps, "--sizes", "50")
+        assert code == 2
+        assert not (out / "condense.csv").exists()
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("weights", ["[1.0, NaN, 1.0]", "[1.0, Infinity]"])
@@ -385,3 +401,10 @@ class TestAssumptions:
         labels = {row["label"] for row in doc["result"]["series"]}
         assert "tail_sup_beyond_J" in labels
         assert doc["config"]["version"]
+
+    def test_negative_J_is_config_error(self, tmp_path, bulk_family):
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "assumptions",
+                   "--L", "20", "--N", "40", "--J", "-5")
+        assert code == 2
+        assert not (out / "assumptions.json").exists()

@@ -323,7 +323,7 @@ class TestGrandCanonical:
         "diagnostic",
         [
             lambda: relative_entropy_bound(BULK, 20, 10, 0.6),
-            lambda: tv_distance_marginal(build_logz(BULK, 20, 10), BULK, 20, 10, 0.6),
+            lambda: tv_distance_marginal(build_logz(BULK, 20, 10), 20, 10, 0.6),
             lambda: local_clt_report(BULK, 20),
         ],
         ids=["relative_entropy_bound", "tv_distance_marginal", "local_clt_report"],
@@ -404,7 +404,7 @@ class TestTvDistance:
         t = build_logz(BULK, 1, 4)
         gc = grand_canonical_stats(BULK, 1, 0.5)
         nu = gc.pmf()
-        val = tv_distance_marginal(t, BULK, 1, 4, 0.5)
+        val = tv_distance_marginal(t, 1, 4, 0.5)
         assert val == pytest.approx(1.0 - nu[4], abs=1e-12)
 
     def test_decreasing_over_sizes(self):
@@ -413,7 +413,7 @@ class TestTvDistance:
         for L in (16, 64, 256):
             N = L // 4
             t = build_logz(BULK, L, N)
-            vals.append(tv_distance_marginal(t, BULK, L, N, phi))
+            vals.append(tv_distance_marginal(t, L, N, phi))
         assert vals[0] > vals[1] > vals[2]
 
 

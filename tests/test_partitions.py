@@ -106,6 +106,13 @@ class TestStickBreaking:
         se = firsts.std(ddof=1) / math.sqrt(firsts.size)
         assert abs(firsts.mean() - 0.4) < 3 * se
 
+    def test_batch_takes_seeded_rng_like_every_sampler(self):
+        m, res = stick_breaking_batch(1.0, 1.0, 3, SeededRng(1))
+        m_gen, res_gen = stick_breaking_batch(1.0, 1.0, 3, SeededRng(1).generator)
+        assert m.tobytes() == m_gen.tobytes() and res.tobytes() == res_gen.tobytes()
+        with pytest.raises(ValueError, match="seeded generator"):
+            stick_breaking_batch(1.0, 1.0, 3, None)
+
     def test_batch_matches_norm_targets(self):
         rng = SeededRng(103)
         m, res = stick_breaking_batch(1.0, 1.0, 50_000, rng.generator)

@@ -87,7 +87,7 @@ def slow_discrete_apply(theta, N, eps, p: OrderedPartition, f) -> float:
     return N / (N - 1) * total_merge + theta / (N - 1) * total_split
 
 
-def slow_cutoff_apply(theta, eps, p: OrderedPartition, f, nodes: int = 64) -> float:
+def slow_cutoff_apply(theta, eps, p: OrderedPartition, f) -> float:
     """Direct translation of the cutoff generator via the partition ops.
 
     The split integral is taken at the library's panel nodes, so quadrature
@@ -109,7 +109,7 @@ def slow_cutoff_apply(theta, eps, p: OrderedPartition, f, nodes: int = 64) -> fl
         for t, q in enumerate(arr):
             if t != i and 0 < q < v:
                 breaks.update((q / v, 1.0 - q / v))
-        us, ws = _panel_points(eps / v, 1.0 - eps / v, breaks, nodes)
+        us, ws = _panel_points(eps / v, 1.0 - eps / v, breaks)
         for u, w in zip(us, ws):
             total_split += v * v * w * (f(split(p, i + 1, u)) - base)
     return total_merge + theta * total_split
@@ -361,7 +361,7 @@ class TestDiscreteGenerator:
     def test_one_over_N_convergence_to_cutoff_generator(self):
         p = OrderedPartition.from_masses([0.6, 0.4])
         eps = 0.1
-        limit = cutoff_generator_apply(1.0, eps, p, P1_SQUARED, quadrature_nodes=96)
+        limit = cutoff_generator_apply(1.0, eps, p, P1_SQUARED)
         devs = []
         for N in (100, 1000, 10_000):
             devs.append(abs(discrete_generator_apply(1.0, N, eps, p, P1_SQUARED) - limit))

@@ -7,11 +7,14 @@ import pytest
 from pdlab import (
     WeightFamily,
     assumption_report,
+    limit_weight_row,
     log_limit_weight,
     log_weight,
     log_weight_row,
     weight_sup_distance,
 )
+
+from pdlab.weights import limit_support
 
 from oracle import inclusion_weight
 
@@ -82,6 +85,40 @@ class TestLimitWeight:
             w = math.exp(log_limit_weight(fam, n))
             devs.append(abs(wl - w) * L)
         assert max(devs) <= 2.0 * min(devs) + 1e-12
+
+    # fresh parameters, so the cached row builder runs inside the warning filter
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("fam,head", [
+        (WeightFamily.inclusion(0.123), [1.0]),
+        (WeightFamily.bulk_tail(0.7, 2, [0.25, 0.75, 0.0]), [0.25, 0.75]),
+        (WeightFamily.from_table([1.0, 0.0, 3.0]), [1.0, 0.0, 3.0]),
+    ], ids=["inclusion", "bulk_tail", "table"])
+    def test_limit_row_is_the_L_none_row_and_its_closed_form(self, fam, head):
+        N = 5000
+        expected = np.full(N + 1, -math.inf)
+        with np.errstate(divide="ignore"):
+            expected[: len(head)] = np.log(head)
+        row = limit_weight_row(fam, N)
+        assert np.array_equal(row, expected)
+        assert np.array_equal(log_weight_row(fam, None, N), expected)
+
+    def test_per_L_table_limit_is_its_default_table(self):
+        fam = WeightFamily.from_table([1.0, 2.0], per_L={5: [3.0, 0.0, 1.0]})
+        inf = -math.inf
+        assert limit_weight_row(fam, 3).tolist() == [0.0, math.log(2.0), inf, inf]
+        assert log_weight_row(fam, 5, 3).tolist() == [math.log(3.0), inf, 0.0, inf]
+        assert log_weight_row(fam, 4, 3).tolist() == [0.0, math.log(2.0), inf, inf]
+
+    @pytest.mark.parametrize("fam,top", [
+        (INCLUSION, 0),
+        (BULK, 1),
+        (WeightFamily.bulk_tail(1.0, 2, [0.5, 0.5, 0.0]), 1),
+        (WeightFamily.from_table([0.0, 1.0, 1.0]), 2),
+        (WeightFamily.from_table([1.0, 0.0, 0.0]), 0),
+        (WeightFamily.from_table([0.0, 0.0]), 0),
+    ])
+    def test_limit_support(self, fam, top):
+        assert limit_support(fam) == top
 
 
 class TestSupDistance:
