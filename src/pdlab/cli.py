@@ -30,7 +30,7 @@ from .ensembles import (
     save_logz_cache,
     tv_distance_marginal,
 )
-from .sampler import SeededRng, partition_masses, sample_configurations
+from .sampler import SeededRng, sample_configurations
 from .splitmerge import FUNCTION_LIBRARY, reversibility_defect, simulate
 from .partitions import OrderedPartition
 from .weights import WeightFamily, assumption_report
@@ -121,12 +121,19 @@ def cmd_sample(args, config: RunConfig) -> int:
     table = build_logz(family, args.L, args.N)
     rng = SeededRng(args.seed)
     occ = sample_configurations(table, args.L, args.N, args.count, rng)
-    lines = [" ".join(map(str, row)) for row in occ.tolist()]
+    names = [str(n) for n in range(args.N + 1)]
+    lines = [" ".join([names[n] for n in row]) for row in occ.tolist()]
     _write_text(out / "configurations.txt", config, "\n".join(lines) + "\n")
     if args.partitions:
+        # every row sums to N (sample_configurations checks it), so each mass is
+        # n / N, and Python's n / N is the same double as NumPy's division
+        masses = [repr(n / max(args.N, 1)) for n in range(args.N + 1)]
+        ranks = [f",{r}," for r in range(args.L + 1)]
+        desc = np.sort(occ, axis=1)[:, ::-1]
         rows = ["sample,rank,mass"]
-        for s, masses in enumerate(partition_masses(occ)):
-            rows += [f"{s},{r},{mass!r}" for r, mass in enumerate(masses, start=1)]
+        for s, (row, k) in enumerate(zip(desc.tolist(), (desc > 0).sum(axis=1).tolist())):
+            head = str(s)
+            rows += [head + ranks[r] + masses[row[r - 1]] for r in range(1, k + 1)]
         _write_text(out / "partitions.csv", config, "\n".join(rows) + "\n")
     return 0
 

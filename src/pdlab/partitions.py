@@ -134,6 +134,13 @@ def stick_breaking_batch(
     Every row carries enough sticks that its residual is below ``TRUNC_EPS``
     (or ``K_MAX`` columns).  Column padding beyond a row's stopping index simply
     keeps breaking, which leaves the row's law unchanged.
+
+    Each Beta(1, theta) fraction u comes from one standard exponential E by
+    inverting its CDF 1 - (1 - x)^theta: log(1 - u) = -E / theta.  So a block
+    of 64 columns is u = -expm1(e) and the kept lengths exp(cumsum(e)), with
+    e = -E / theta, formed in place: at most three (count, 64) float arrays
+    are alive per block, besides the finished blocks.  The draws differ from
+    ``stick_breaking``'s ``Generator.beta`` stream; the law is the same.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
@@ -145,14 +152,18 @@ def stick_breaking_batch(
     k = 0
     while k < K_MAX and float(residual.max()) >= TRUNC_EPS:
         step = min(64, K_MAX - k)
-        u = g.beta(1.0, theta, size=(count, step))
-        keep = residual[:, None] * np.cumprod(1.0 - u, axis=1)
-        pieces = residual[:, None] * u
-        pieces[:, 1:] = keep[:, :-1] * u[:, 1:]
+        e = g.standard_exponential((count, step))
+        e /= -theta
+        pieces = np.expm1(e)
+        np.negative(pieces, out=pieces)
+        keep = np.exp(np.cumsum(e, axis=1, out=e), out=e)
+        keep *= residual[:, None]
+        pieces[:, 0] *= residual
+        pieces[:, 1:] *= keep[:, :-1]
         blocks.append(pieces)
         residual = keep[:, -1].copy()
         k += step
-    return np.concatenate(blocks, axis=1), residual
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), residual
 
 
 def pd_degenerate(alpha: float) -> OrderedPartition:
@@ -237,7 +248,7 @@ def positive_size_biased_first_batch(
 ) -> np.ndarray:
     """First positive size-biased component for each row of a (count, K) mass matrix."""
     cum = np.cumsum(masses, axis=1)
-    targets = rng.random(masses.shape[0]) * cum[:, -1]
+    targets = _as_generator(rng).random(masses.shape[0]) * cum[:, -1]
     idx = (cum < targets[:, None]).sum(axis=1)
     idx = np.minimum(idx, masses.shape[1] - 1)
     return masses[np.arange(masses.shape[0]), idx]

@@ -9,6 +9,7 @@ import pytest
 
 from pdlab import SeededRng, WeightFamily, build_logz, sample_configurations
 from pdlab.cli import main
+from pdlab.sampler import partition_masses
 
 
 @pytest.fixture
@@ -110,6 +111,33 @@ class TestSample:
             header = "".join(line + "\n" for line in text.splitlines()[:2])
             assert header.startswith("# pdlab")
             assert text == header + "\n".join(body) + "\n"
+
+    @pytest.mark.parametrize("doc, L, N", [
+        ({"kind": "bulk_tail", "theta": 1.0, "A": 2, "bulk": [0.5, 0.0, 0.5]}, 50, 100),
+        ({"kind": "inclusion", "theta": 0.5}, 30, 90),
+        ({"kind": "table", "weights": [0, 1, 1]}, 4, 7),  # w(0) = 0: every site positive
+        ({"kind": "inclusion", "theta": 0.5}, 5, 0),
+    ])
+    def test_files_match_partition_masses_formatting(self, tmp_path, doc, L, N):
+        # the text the lookup tables replace: str per entry, and repr of each
+        # float that partition_masses divides out of its row
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps(doc))
+        out, count = tmp_path / "o", 2_000
+        assert run("--family", str(path), "--seed", "3", "--out", str(out),
+                   "sample", "--L", str(L), "--N", str(N), "--count", str(count), "--partitions") == 0
+        occ = sample_configurations(build_logz(WeightFamily.from_json(doc), L, N), L, N, count, SeededRng(3))
+        assert doc["kind"] != "table" or (occ > 0).all()
+        lines = [" ".join(map(str, row)) for row in occ.tolist()]
+        rows = ["sample,rank,mass"]
+        for s, masses in enumerate(partition_masses(occ)):
+            rows += [f"{s},{r},{mass!r}" for r, mass in enumerate(masses, start=1)]
+        assert len(rows) == 1 + (occ > 0).sum()
+        for name, body in (("configurations.txt", lines), ("partitions.csv", rows)):
+            # compared as lists: pytest's diff of two long unequal strings takes minutes
+            got = (out / name).read_text().split("\n")
+            assert all(line.startswith("# ") for line in got[:2])
+            assert got[2:] == body + [""]
 
     def test_zero_partition_function_exits_2(self, tmp_path, capsys):
         family = tmp_path / "t111.json"

@@ -121,6 +121,31 @@ class TestStickBreaking:
         se = l2.std(ddof=1) / math.sqrt(l2.size)
         assert abs(l2.mean() - 0.5) < 3 * se
 
+    @pytest.mark.parametrize("theta", [0.3, 3.0])
+    def test_batch_first_piece_law(self, theta):
+        # P(V_1 <= x) = 1 - (1 - x/alpha)^theta; theta > 1 is the case numpy's
+        # beta draws through gammas
+        alpha, n = 0.8, 50_000
+        m, _ = stick_breaking_batch(theta, alpha, n, SeededRng(104).generator)
+        ks = stats.kstest(m[:, 0], lambda x: 1.0 - (1.0 - x / alpha) ** theta).statistic
+        assert ks < math.sqrt(math.log(2 / 1e-6) / (2 * n))  # DKW at delta = 1e-6
+
+    @pytest.mark.parametrize("theta", [0.3, 1.0, 3.0, 50.0])
+    def test_batch_rows_keep_their_mass(self, theta):
+        m, res = stick_breaking_batch(theta, 0.8, 2_000, SeededRng(105).generator)
+        assert np.abs(m.sum(axis=1) + res - 0.8).max() <= 1e-12
+        assert (m >= 0).all() and res.max() < 1e-12
+
+    def test_batch_carries_the_residual_across_blocks(self):
+        # theta = 50 breaks ~1,400 sticks a row: the first piece of the second
+        # 64-column block over what the first block left is again Beta(1, theta)
+        theta, alpha, n = 50.0, 0.8, 2_000
+        m, _ = stick_breaking_batch(theta, alpha, n, SeededRng(106).generator)
+        assert m.shape[1] > 64
+        v = m[:, 64] / (alpha - m[:, :64].sum(axis=1))
+        ks = stats.kstest(v, lambda x: 1.0 - (1.0 - x) ** theta).statistic
+        assert ks < math.sqrt(math.log(2 / 1e-6) / (2 * n))
+
     def test_k_max_truncation_reports_residual(self):
         res = stick_breaking(1.0, k_max=3, rng=SeededRng(9))
         assert len(res.gem) == 3
@@ -237,6 +262,13 @@ class TestPositiveSizeBiasedFirstBatch:
             counts = np.array([(got == v).sum() for v in positive])
             result = stats.chisquare(counts, reps * positive / positive.sum())
             assert result.pvalue > 1e-3
+
+    def test_takes_seeded_rng_like_every_sampler(self):
+        masses = np.array([[0.5, 0.5], [0.1, 0.3]])
+        picked = positive_size_biased_first_batch(masses, SeededRng(1))
+        assert picked.tobytes() == positive_size_biased_first_batch(masses, SeededRng(1).generator).tobytes()
+        with pytest.raises(ValueError, match="seeded generator"):
+            positive_size_biased_first_batch(masses, None)
 
 
 class TestNorms:
