@@ -1,8 +1,12 @@
 """Command-line front end: builds, samples, simulations, and report emission.
 
-Every output file embeds the run configuration and the library version, so a
-rerun with the same arguments reproduces it byte for byte.  Exit codes:
-0 success, 2 configuration error, 3 numeric failure (JSON message on stderr).
+``main`` reads the family file once, runs the subcommand, and only when it
+succeeds writes the result files it returned as ``{name: body}``: text lines
+after two header lines, or a ``.json`` payload as ``{"config", "result"}``.
+Both record the run configuration and the library version, so a rerun with
+the same arguments reproduces every file byte for byte.  θ must be finite.
+Exit codes: 0 success, 2 configuration error, 3 numeric failure (JSON
+message on stderr).
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -40,35 +43,8 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Fully serialisable record of one CLI invocation."""
-
-    command: str
-    family: dict | None
-    seed: int
-    options: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": __version__,
-            "command": self.command,
-            "family": self.family,
-            "seed": self.seed,
-            "options": self.options,
-        }
-
-    def header_lines(self) -> list[str]:
-        return [
-            f"# pdlab {__version__}",
-            f"# config: {json.dumps(self.to_json_dict(), sort_keys=True)}",
-        ]
-
-
-def _load_family(args) -> WeightFamily:
-    if not args.family:
-        raise ConfigError("--family is required for this command")
-    path = Path(args.family)
+def _load_family(path: str) -> WeightFamily:
+    path = Path(path)
     if not path.exists():
         raise ConfigError(f"family file {path} does not exist")
     if path.suffix == ".csv":
@@ -76,54 +52,31 @@ def _load_family(args) -> WeightFamily:
     return WeightFamily.from_json(path)
 
 
-def _out_dir(args) -> Path:
+# ---------------------------------------------------------------------------
+# subcommands: each returns {file name: lines of a text file, or a JSON payload}
+# ---------------------------------------------------------------------------
+
+
+def cmd_zn(args, family: WeightFamily) -> dict:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_text(path: Path, config: RunConfig, body: str) -> None:
-    path.write_text("\n".join(config.header_lines()) + "\n" + body)
-
-
-def _write_json(path: Path, config: RunConfig, payload) -> None:
-    doc = {"config": config.to_json_dict(), "result": payload}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-
-def cmd_zn(args, config: RunConfig) -> int:
-    family = _load_family(args)
-    if args.L < 1:
-        raise ConfigError("--L must be >= 1")
-    if args.N < 0:
-        raise ConfigError("--N must be >= 0")
-    out = _out_dir(args)
     table = load_logz_cache(family, args.L, args.N, out)
     if table is None:
         table = build_logz(family, args.L, args.N)
+        out.mkdir(parents=True, exist_ok=True)
         save_logz_cache(table, out)
     rows = ["n,logz"]
     rows += [f"{n},{float(table.logz[args.L, n])!r}" for n in range(args.N + 1)]
-    _write_text(out / f"zn_L{args.L}_N{args.N}.csv", config, "\n".join(rows) + "\n")
-    return 0
+    return {f"zn_L{args.L}_N{args.N}.csv": rows}
 
 
-def cmd_sample(args, config: RunConfig) -> int:
-    family = _load_family(args)
-    if args.L < 1 or args.N < 0 or args.count < 1:
-        raise ConfigError("need --L >= 1, --N >= 0, --count >= 1")
-    out = _out_dir(args)
+def cmd_sample(args, family: WeightFamily) -> dict:
+    if args.count < 1:
+        raise ConfigError("--count must be >= 1")
     table = build_logz(family, args.L, args.N)
     rng = SeededRng(args.seed)
     occ = sample_configurations(table, args.L, args.N, args.count, rng)
     names = [str(n) for n in range(args.N + 1)]
-    lines = [" ".join([names[n] for n in row]) for row in occ.tolist()]
-    _write_text(out / "configurations.txt", config, "\n".join(lines) + "\n")
+    files = {"configurations.txt": [" ".join([names[n] for n in row]) for row in occ.tolist()]}
     if args.partitions:
         # every row sums to N (sample_configurations checks it), so each mass is
         # n / N, and Python's n / N is the same double as NumPy's division
@@ -134,11 +87,11 @@ def cmd_sample(args, config: RunConfig) -> int:
         for s, (row, k) in enumerate(zip(desc.tolist(), (desc > 0).sum(axis=1).tolist())):
             head = str(s)
             rows += [head + ranks[r] + masses[row[r - 1]] for r in range(1, k + 1)]
-        _write_text(out / "partitions.csv", config, "\n".join(rows) + "\n")
-    return 0
+        files["partitions.csv"] = rows
+    return files
 
 
-def cmd_splitmerge(args, config: RunConfig) -> int:
+def cmd_splitmerge(args, family: WeightFamily | None) -> dict:
     if not 0 < args.t_max < np.inf:
         raise ConfigError("--t-max must be positive and finite")
     if args.records < 1:
@@ -157,13 +110,10 @@ def cmd_splitmerge(args, config: RunConfig) -> int:
         rows.append(
             f"{float(st.time)!r},{tops[0]!r},{tops[1]!r},{tops[2]!r},{l2sq!r},{st.merges},{st.splits}"
         )
-    out = _out_dir(args)
-    _write_text(out / "trajectory.csv", config, "\n".join(rows) + "\n")
-    return 0
+    return {"trajectory.csv": rows}
 
 
-def cmd_reversibility(args, config: RunConfig) -> int:
-    family = _load_family(args)
+def cmd_reversibility(args, family: WeightFamily) -> dict:
     sizes = _parse_sizes(args.sizes)
     try:
         f = FUNCTION_LIBRARY[args.f]
@@ -177,9 +127,7 @@ def cmd_reversibility(args, config: RunConfig) -> int:
             mode=args.mode, samples=args.samples, rng=SeededRng(args.seed, stream=i),
         )
         results.append(res.to_json_dict())
-    out = _out_dir(args)
-    _write_json(out / "reversibility.json", config, results)
-    return 0
+    return {"reversibility.json": results}
 
 
 def _density_cells(args) -> list[tuple[int, int]]:
@@ -189,8 +137,7 @@ def _density_cells(args) -> list[tuple[int, int]]:
     return [(L, int(round(args.rho * L))) for L in map(int, args.sizes.split(","))]
 
 
-def cmd_ensembles(args, config: RunConfig) -> int:
-    family = _load_family(args)
+def cmd_ensembles(args, family: WeightFamily) -> dict:
     cells = _density_cells(args)
     rows = ["quantity,L,N,phi,value"]
     phi = args.phi if args.phi is not None else invert_density(family, None, args.rho)
@@ -204,13 +151,10 @@ def cmd_ensembles(args, config: RunConfig) -> int:
         phi_l = phi_sequence(family, L)
         for row in clt.series:
             rows.append(f"clt_{row.label},{L},{N},{phi_l!r},{row.value!r}")
-    out = _out_dir(args)
-    _write_text(out / "ensembles.csv", config, "\n".join(rows) + "\n")
-    return 0
+    return {"ensembles.csv": rows}
 
 
-def cmd_condense(args, config: RunConfig) -> int:
-    family = _load_family(args)
+def cmd_condense(args, family: WeightFamily) -> dict:
     cells = _density_cells(args)
     rows = ["quantity,L,N,eps,value"]
     rho_c = critical_density(family)
@@ -223,17 +167,12 @@ def cmd_condense(args, config: RunConfig) -> int:
     rows.append(f"critical_density,,,,{rho_c!r}")
     target = 1.0 - rho_c / args.rho if args.rho > rho_c else 0.0
     rows.append(f"alpha_target,,,,{target!r}")
-    out = _out_dir(args)
-    _write_text(out / "condense.csv", config, "\n".join(rows) + "\n")
-    return 0
+    return {"condense.csv": rows}
 
 
-def cmd_assumptions(args, config: RunConfig) -> int:
-    family = _load_family(args)
+def cmd_assumptions(args, family: WeightFamily) -> dict:
     report = assumption_report(family, args.L, args.N, args.eps, args.J)
-    out = _out_dir(args)
-    _write_json(out / "assumptions.json", config, report.to_json_dict())
-    return 0
+    return {"assumptions.json": report.to_json_dict()}
 
 
 def _parse_sizes(spec: str) -> list[tuple[int, int]]:
@@ -318,36 +257,43 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    family_doc = None
-    if args.family:
-        try:
-            family_doc = _load_family(args).to_json_dict()
-        except (ConfigError, ValueError, KeyError, json.JSONDecodeError) as exc:
-            print(f"pdlab: config error: {exc}", file=sys.stderr)
-            return 2
-    config = RunConfig(
-        command=args.command,
-        family=family_doc,
-        seed=args.seed,
-        options={
+    args = _build_parser().parse_args(argv)
+    try:
+        family = _load_family(args.family) if args.family else None
+        if family is None and args.command != "splitmerge":
+            raise ConfigError("--family is required for this command")
+    except (ValueError, KeyError) as exc:  # a json.JSONDecodeError is a ValueError
+        print(f"pdlab: config error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        files = _COMMANDS[args.command](args, family)
+    except (OutOfDomainError, SupercriticalDensityError, FloatingPointError) as exc:
+        print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
+        return 3
+    except ValueError as exc:  # ConfigError included
+        print(f"pdlab: config error: {exc}", file=sys.stderr)
+        return 2
+    config = {
+        "version": __version__,
+        "command": args.command,
+        "family": family.to_json_dict() if family else None,
+        "seed": args.seed,
+        "options": {
             k: v
             for k, v in sorted(vars(args).items())
             if k not in ("command", "family", "seed", "out") and v is not None
         },
-    )
-    try:
-        return _COMMANDS[args.command](args, config)
-    except ConfigError as exc:
-        print(f"pdlab: config error: {exc}", file=sys.stderr)
-        return 2
-    except (OutOfDomainError, SupercriticalDensityError, FloatingPointError) as exc:
-        print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"pdlab: config error: {exc}", file=sys.stderr)
-        return 2
+    }
+    header = f"# pdlab {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, body in files.items():
+        if name.endswith(".json"):
+            text = json.dumps({"config": config, "result": body}, sort_keys=True, indent=2) + "\n"
+        else:
+            text = header + "\n".join(body) + "\n"
+        (out / name).write_text(text)
+    return 0
 
 
 if __name__ == "__main__":

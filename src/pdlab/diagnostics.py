@@ -33,8 +33,8 @@ def alpha_from_second_moment(table: LogZTable, L: int, N: int, theta: float) -> 
     alpha^2 = (1 + theta) / rho * E[eta_x^2] / N with rho = N / L; at L = 1
     this degenerates to sqrt(1 + theta) and is a finite-size artifact.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     probs = single_site_marginals(table, L, N)
     n = np.arange(N + 1, dtype=float)
     second = float(np.dot(n * n, probs))

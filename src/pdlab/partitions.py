@@ -97,22 +97,21 @@ class StickBreakingResult:
 def stick_breaking(
     theta: float,
     alpha: float = 1.0,
-    k_max: int = K_MAX,
     rng: np.random.Generator | None = None,
 ) -> StickBreakingResult:
     """One stick-breaking draw on [0, alpha] with Beta(1, theta) fractions.
 
     Breaking stops when the unbroken remainder falls below ``TRUNC_EPS`` or
-    after ``k_max`` sticks; the remainder is reported, never silently dropped.
+    after ``K_MAX`` sticks; the remainder is reported, never silently dropped.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive (theta = 0 is the degenerate case)")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite (theta = 0 is the degenerate case)")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     g = _as_generator(rng)
     pieces: list[float] = []
     residual = alpha
-    while residual >= TRUNC_EPS and len(pieces) < k_max:
+    while residual >= TRUNC_EPS and len(pieces) < K_MAX:
         u = g.beta(1.0, theta)
         pieces.append(residual * u)
         residual *= 1.0 - u
@@ -142,8 +141,8 @@ def stick_breaking_batch(
     are alive per block, besides the finished blocks.  The draws differ from
     ``stick_breaking``'s ``Generator.beta`` stream; the law is the same.
     """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
+    if not 0 < theta < math.inf:
+        raise ValueError("theta must be positive and finite")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     g = _as_generator(rng)

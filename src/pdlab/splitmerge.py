@@ -237,8 +237,8 @@ def cutoff_generator_apply(
     """
     if not eps >= 0.0:
         raise ValueError("eps must be nonnegative")
-    if not theta >= 0.0:
-        raise ValueError("theta must be >= 0")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError("theta must be >= 0 and finite")
     arr = p.as_array()
     blocks, pieces, weights = [np.empty(0, dtype=np.intp)], [np.empty(0)], [np.empty(0)]
     if theta != 0.0:
@@ -279,8 +279,8 @@ def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
         raise ValueError("eps must be positive")
     if N < 2:
         raise ValueError("N must be >= 2")
-    if not theta >= 0.0:
-        raise ValueError("theta must be >= 0")
+    if not 0.0 <= theta < math.inf:
+        raise ValueError("theta must be >= 0 and finite")
     arr = counts / N
     row, block = np.nonzero((arr >= 2 * eps - LATTICE_TOL) & (theta != 0.0))
     k_lo = max(1, math.ceil(eps * N - LATTICE_TOL))
@@ -333,8 +333,8 @@ class _SplitMergeCore:
     """
 
     def __init__(self, masses, theta: float):
-        if not theta >= 0.0:
-            raise ValueError("theta must be >= 0")
+        if not 0.0 <= theta < math.inf:
+            raise ValueError("theta must be >= 0 and finite")
         self.blocks = [float(v) for v in masses if v > 0.0]
         self.theta = float(theta)
         self.s1 = float(sum(self.blocks))

@@ -55,6 +55,8 @@ class WeightFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown weight family kind {self.kind!r}")
+        if not -math.inf < self.theta < math.inf:
+            raise ValueError("theta must be finite")
         if self.kind in ("inclusion", "bulk_tail") and not self.theta > 0:
             raise ValueError("theta must be positive")
         if self.kind == "bulk_tail":

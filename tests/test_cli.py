@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdlab import SeededRng, WeightFamily, build_logz, sample_configurations
+from pdlab import SeededRng, WeightFamily, build_logz, cli, sample_configurations
 from pdlab.cli import main
 from pdlab.sampler import partition_masses
 
@@ -21,6 +21,49 @@ def bulk_family(tmp_path):
 
 def run(*argv):
     return main(list(argv))
+
+
+class TestWritePath:
+    COMMANDS = {
+        "zn": ["zn", "--L", "4", "--N", "6"],
+        "sample": ["sample", "--L", "4", "--N", "6", "--count", "3", "--partitions"],
+        "splitmerge": ["splitmerge", "--theta", "1", "--t-max", "2", "--records", "2"],
+        "reversibility": ["reversibility", "--theta", "1", "--eps", "0.2", "--sizes", "3:6", "--mode", "exact"],
+        "ensembles": ["ensembles", "--rho", "0.25", "--sizes", "8"],
+        "condense": ["condense", "--rho", "2", "--theta", "1", "--sizes", "50"],
+        "assumptions": ["assumptions", "--L", "8", "--N", "16"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+    def test_family_file_parsed_once(self, tmp_path, bulk_family, monkeypatch, argv):
+        parse, calls = WeightFamily.from_json, []
+
+        def counted(source):
+            calls.append(source)
+            return parse(source)
+
+        monkeypatch.setattr(WeightFamily, "from_json", counted)
+        out = tmp_path / "o"
+        assert run("--family", bulk_family, "--out", str(out), *argv) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["zn", "--L", "8", "--N", "6"], 3),
+        (["ensembles", "--rho", "0.25", "--sizes", "4,8"], 3),
+        (["reversibility", "--theta", "1", "--eps", "0.1", "--sizes", "3:6,1:1", "--mode", "exact"], 2),
+    ], ids=["zn", "ensembles", "reversibility"])
+    def test_failed_command_writes_no_result_file(self, tmp_path, bulk_family, monkeypatch, argv, code):
+        # a grid of L >= 8 fails after the smaller ones were built, and
+        # reversibility refuses its second size (N < 2) after the first
+        def build(family, L, N):
+            if L >= 8:
+                raise FloatingPointError(f"no grid for L = {L}")
+            return build_logz(family, L, N)
+
+        monkeypatch.setattr(cli, "build_logz", build)
+        out = tmp_path / "o"
+        assert run("--family", bulk_family, "--out", str(out), *argv) == code
+        assert list(out.glob("*")) == []
 
 
 class TestZn:
@@ -249,7 +292,9 @@ class TestReversibility:
                    "--theta", "1.0", "--eps", "0.1", "--sizes", "3:6", "--f", "nope")
         assert code == 2
 
-    @pytest.mark.parametrize("theta,eps,sizes", [("1", "0.1", "1:1"), ("1", "-0.3", "3:6"), ("-2", "0.1", "3:6")])
+    @pytest.mark.parametrize(
+        "theta,eps,sizes", [("1", "0.1", "1:1"), ("1", "-0.3", "3:6"), ("-2", "0.1", "3:6"), ("inf", "0.1", "3:6")]
+    )
     def test_lattice_parameters_rejected(self, tmp_path, theta, eps, sizes):
         family = tmp_path / "inc.json"
         family.write_text(json.dumps({"kind": "inclusion", "theta": 0.5}))
@@ -396,6 +441,27 @@ class TestNonFiniteInput:
         family.write_text('{"kind": "table", "weights": %s}' % weights)
         out = tmp_path / "o"
         assert run("--family", str(family), "--out", str(out), "zn", "--L", "3", "--N", "4") == 2
+        assert not out.exists()
+
+    def test_infinite_family_theta_is_config_error(self, tmp_path):
+        # an inclusion family with theta = inf would write log Z = inf
+        family = tmp_path / "inc.json"
+        family.write_text('{"kind": "inclusion", "theta": Infinity}')
+        out = tmp_path / "o"
+        assert run("--family", str(family), "--out", str(out), "zn", "--L", "3", "--N", "4") == 2
+        assert not out.exists()
+
+    def test_infinite_theta_in_splitmerge_is_config_error(self, tmp_path):
+        # with theta = inf every wait is 0 and the event loop never ends, so
+        # the run gets its own process and a timeout
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "o"
+        script = "import sys; from pdlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["--out", str(out), "splitmerge", "--theta", "inf", "--t-max", "5", "--records", "2"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert "theta must be >= 0 and finite" in proc.stderr
         assert not out.exists()
 
     def test_nan_theta_in_condense_is_config_error(self, tmp_path, bulk_family):

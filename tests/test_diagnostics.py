@@ -101,6 +101,12 @@ class TestAlphaEstimate:
         with pytest.raises(ValueError, match="theta"):
             alpha_from_second_moment(t, 4, 8, math.nan)
 
+    def test_rejects_infinite_theta(self):
+        # pdlab condense --theta inf would write alpha = inf
+        t = build_logz(BULK, 4, 8)
+        with pytest.raises(ValueError, match="finite"):
+            alpha_from_second_moment(t, 4, 8, math.inf)
+
     def test_inclusion_estimate_tends_to_one(self):
         # with an empty bulk the whole mass is macroscopic: alpha = 1
         devs = []

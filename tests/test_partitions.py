@@ -17,7 +17,7 @@ from pdlab import (
     stick_breaking,
     stick_breaking_batch,
 )
-from pdlab.partitions import positive_size_biased_first_batch
+from pdlab.partitions import K_MAX, positive_size_biased_first_batch
 
 
 masses_strategy = st.lists(
@@ -78,6 +78,13 @@ class TestStickBreaking:
             stick_breaking(math.nan, rng=SeededRng(1))
         with pytest.raises(ValueError, match="theta"):
             stick_breaking_batch(math.nan, 1.0, 3, SeededRng(1).generator)
+
+    def test_rejects_infinite_theta(self):
+        # the fractions would all be 0: a row of K_MAX zero sticks and the whole remainder
+        with pytest.raises(ValueError, match="finite"):
+            stick_breaking(math.inf, rng=SeededRng(1))
+        with pytest.raises(ValueError, match="finite"):
+            stick_breaking_batch(math.inf, 0.8, 3, SeededRng(1))
 
     def test_partition_is_sorted_gem_multiset(self):
         res = stick_breaking(0.7, rng=SeededRng(5))
@@ -147,9 +154,10 @@ class TestStickBreaking:
         assert ks < math.sqrt(math.log(2 / 1e-6) / (2 * n))
 
     def test_k_max_truncation_reports_residual(self):
-        res = stick_breaking(1.0, k_max=3, rng=SeededRng(9))
-        assert len(res.gem) == 3
-        assert res.residual > 0
+        # theta = 1e6 breaks off about 1e-6 a stick: K_MAX sticks leave ~0.99
+        res = stick_breaking(1e6, rng=SeededRng(9))
+        assert len(res.gem) == K_MAX
+        assert res.residual > 0.98
 
     def test_json_tags(self):
         res = stick_breaking(1.0, rng=SeededRng(10))

@@ -303,7 +303,7 @@ class TestCutoffGenerator:
         with pytest.raises(ValueError, match="nonnegative"):
             cutoff_generator_apply(1.0, -0.1, p, P1)
 
-    @pytest.mark.parametrize("theta", [-2.0, -1e-300, math.nan])
+    @pytest.mark.parametrize("theta", [-2.0, -1e-300, math.nan, math.inf])
     @pytest.mark.parametrize(
         "apply",
         [
@@ -353,7 +353,9 @@ class TestDiscreteGenerator:
                 slow = slow_discrete_apply(theta, N, eps, p, f)
                 assert fast == pytest.approx(slow, abs=1e-11)
 
-    @pytest.mark.parametrize("theta,N,eps", [(-2.0, 10, 0.1), (1.0, 1, 0.1), (1.0, 10, 0.0), (1.0, 10, -0.3)])
+    @pytest.mark.parametrize(
+        "theta,N,eps", [(-2.0, 10, 0.1), (1.0, 1, 0.1), (1.0, 10, 0.0), (1.0, 10, -0.3), (math.inf, 10, 0.1)]
+    )
     def test_parameters_rejected(self, theta, N, eps):
         with pytest.raises(ValueError):
             discrete_generator_apply(theta, N, eps, OrderedPartition.from_masses([1.0]), P1)
@@ -494,6 +496,12 @@ class TestSimulate:
             simulate(math.nan, p0, 5.0, SeededRng(1), sample_times=[5.0])
         with pytest.raises(ValueError, match="theta must be >= 0"):
             time_averaged_l2(math.nan, p0, 0.0, 1.0, SeededRng(0))
+
+    def test_infinite_theta_rejected(self):
+        # every wait would be 0 and splits repeat forever: the core refuses it
+        # before any loop runs (pdlab splitmerge --theta inf is tested in a subprocess)
+        with pytest.raises(ValueError, match="theta must be >= 0 and finite"):
+            _SplitMergeCore([1.0], math.inf)
 
     @pytest.mark.parametrize(
         "t_max,sample_times",
@@ -789,7 +797,9 @@ class TestReversibilityDefect:
         assert res.stderr == pytest.approx(stderr, rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
-    @pytest.mark.parametrize("L,N,eps,theta", [(1, 1, 0.1, 1.0), (3, 6, -0.3, 1.0), (3, 6, 0.1, -2.0)])
+    @pytest.mark.parametrize(
+        "L,N,eps,theta", [(1, 1, 0.1, 1.0), (3, 6, -0.3, 1.0), (3, 6, 0.1, -2.0), (3, 6, 0.1, math.inf)]
+    )
     def test_lattice_parameters_rejected(self, mode, L, N, eps, theta):
         with pytest.raises(ValueError):
             reversibility_defect(

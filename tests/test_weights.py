@@ -196,3 +196,13 @@ class TestSerialization:
             WeightFamily.from_table([1.0, 1.0], per_L={3: [1.0, bad]})
         with pytest.raises(ValueError, match="finite"):
             WeightFamily.bulk_tail(1.0, 2, [0.5, 0.5, bad])
+
+    @pytest.mark.parametrize("doc", [
+        '{"kind": "inclusion", "theta": Infinity}',
+        '{"kind": "bulk_tail", "theta": Infinity, "A": 1, "bulk": [0.5, 0.5]}',
+        '{"kind": "table", "theta": -Infinity, "weights": [1, 1]}',
+    ], ids=["inclusion", "bulk_tail", "table"])
+    def test_infinite_theta_rejected(self, doc):
+        # Python's json parser reads Infinity; an inclusion family would get log Z = inf
+        with pytest.raises(ValueError, match="theta must be finite"):
+            WeightFamily.from_json(doc)
