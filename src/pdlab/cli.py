@@ -28,14 +28,13 @@ from .ensembles import (
     invert_density,
     load_logz_cache,
     local_clt_report,
-    phi_sequence,
     relative_entropy_bound,
     save_logz_cache,
     tv_distance_marginal,
 )
 from .sampler import SeededRng, sample_configurations
 from .splitmerge import FUNCTION_LIBRARY, reversibility_defect, simulate
-from .partitions import OrderedPartition
+from .partitions import OrderedPartition, norms
 from .weights import WeightFamily, assumption_report
 
 
@@ -104,12 +103,9 @@ def cmd_splitmerge(args, family: WeightFamily | None) -> dict:
     states = simulate(args.theta, p0, args.t_max, SeededRng(args.seed), sample_times=times)
     rows = ["time,p1,p2,p3,l2sq,merges,splits"]
     for st in states:
-        arr = st.partition.as_array()
-        tops = [float(arr[i]) if i < arr.size else 0.0 for i in range(3)]
-        l2sq = float((arr**2).sum())
-        rows.append(
-            f"{float(st.time)!r},{tops[0]!r},{tops[1]!r},{tops[2]!r},{l2sq!r},{st.merges},{st.splits}"
-        )
+        p1, p2, p3 = (st.partition.entry(i) for i in (1, 2, 3))
+        l2sq = norms(st.partition, 2)
+        rows.append(f"{float(st.time)!r},{p1!r},{p2!r},{p3!r},{l2sq!r},{st.merges},{st.splits}")
     return {"trajectory.csv": rows}
 
 
@@ -148,7 +144,7 @@ def cmd_ensembles(args, family: WeightFamily) -> dict:
         rows.append(f"entropy_bound,{L},{N},{phi!r},{ent!r}")
         rows.append(f"tv_distance,{L},{N},{phi!r},{tv!r}")
         clt = local_clt_report(family, L)
-        phi_l = phi_sequence(family, L)
+        phi_l = clt.params["phi_L"]
         for row in clt.series:
             rows.append(f"clt_{row.label},{L},{N},{phi_l!r},{row.value!r}")
     return {"ensembles.csv": rows}

@@ -8,7 +8,13 @@ import warnings
 import numpy as np
 
 from .ensembles import LogZTable, single_site_marginals, size_biased_marginals
-from .partitions import OrderedPartition, _as_generator, positive_size_biased
+from .partitions import (
+    OrderedPartition,
+    _as_generator,
+    norms,
+    pd_moment_targets,
+    positive_size_biased,
+)
 from .report import DiagnosticsReport
 
 
@@ -86,16 +92,16 @@ def pd_gof(
 ) -> DiagnosticsReport:
     """Goodness-of-fit of sampled partitions against stationary targets.
 
-    Compares Monte Carlo moments of sum p_i^2 and sum p_i^3 with the
-    stationary predictions alpha^2/(1+theta) and 2 alpha^3/((1+theta)(2+theta)),
+    Compares Monte Carlo means of ``norms(p, 2)`` and ``norms(p, 3)`` with
+    ``pd_moment_targets``, alpha^2/(1+theta) and 2 alpha^3/((1+theta)(2+theta)),
     and reports the Kolmogorov-Smirnov distance of positive size-biased first
     components to the scaled Beta(1, theta) law.
     """
     if not samples:
         raise ValueError("need at least one sampled partition")
     g = _as_generator(rng)
-    l2 = np.array([float(np.sum(p.as_array() ** 2)) for p in samples])
-    l3 = np.array([float(np.sum(p.as_array() ** 3)) for p in samples])
+    l2 = np.array([norms(p, 2) for p in samples])
+    l3 = np.array([norms(p, 3) for p in samples])
     firsts = np.sort(
         [positive_size_biased(p, 1, g).values[0] for p in samples if p.total > 0]
     )
@@ -110,9 +116,9 @@ def pd_gof(
     m2, se2 = _mean_se(l2)
     m3, se3 = _mean_se(l3)
     report.add("l2sq_mean", m2, se2)
-    report.add("l2sq_target", alpha**2 / (1.0 + theta))
+    report.add("l2sq_target", pd_moment_targets(theta, alpha, 2))
     report.add("l3cube_mean", m3, se3)
-    report.add("l3cube_target", 2.0 * alpha**3 / ((1.0 + theta) * (2.0 + theta)))
+    report.add("l3cube_target", pd_moment_targets(theta, alpha, 3))
     report.add("ks_stat", ks_stat)
     report.add("ks_n", float(n))
     return report

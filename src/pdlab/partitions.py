@@ -10,7 +10,9 @@ the deficit probability 1 - ||p||_1, renormalising as blocks are consumed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -80,7 +82,11 @@ class SizeBiasedSample:
 
 @dataclass(frozen=True)
 class StickBreakingResult:
-    """A stick-breaking draw: the raw sequence, its reordering, and the leftover."""
+    """A stick-breaking draw: the raw sequence, its reordering, and the leftover.
+
+    ``gem`` runs to the end of the 64-column block, or ``K_MAX``, in which the
+    remainder fell below ``TRUNC_EPS``; ``residual`` is what its pieces leave.
+    """
 
     gem: tuple[float, ...]
     partition: OrderedPartition
@@ -99,27 +105,15 @@ def stick_breaking(
     alpha: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> StickBreakingResult:
-    """One stick-breaking draw on [0, alpha] with Beta(1, theta) fractions.
+    """One stick-breaking draw on [0, alpha]: row 0 of a ``stick_breaking_batch`` of one.
 
-    Breaking stops when the unbroken remainder falls below ``TRUNC_EPS`` or
-    after ``K_MAX`` sticks; the remainder is reported, never silently dropped.
+    ``gem`` holds the row's positive pieces in breaking order.  Breaking runs
+    to the end of the 64-column block, or ``K_MAX``, in which the remainder
+    fell below ``TRUNC_EPS``; the remainder is reported, never silently dropped.
     """
-    if not 0 < theta < math.inf:
-        raise ValueError("theta must be positive and finite (theta = 0 is the degenerate case)")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    g = _as_generator(rng)
-    pieces: list[float] = []
-    residual = alpha
-    while residual >= TRUNC_EPS and len(pieces) < K_MAX:
-        u = g.beta(1.0, theta)
-        pieces.append(residual * u)
-        residual *= 1.0 - u
-    return StickBreakingResult(
-        gem=tuple(pieces),
-        partition=OrderedPartition.from_masses(pieces),
-        residual=residual,
-    )
+    pieces, residual = stick_breaking_batch(theta, alpha, 1, rng)
+    gem = pieces[0][pieces[0] > 0].tolist()
+    return StickBreakingResult(tuple(gem), OrderedPartition.from_masses(gem), float(residual[0]))
 
 
 def stick_breaking_batch(
@@ -138,8 +132,7 @@ def stick_breaking_batch(
     inverting its CDF 1 - (1 - x)^theta: log(1 - u) = -E / theta.  So a block
     of 64 columns is u = -expm1(e) and the kept lengths exp(cumsum(e)), with
     e = -E / theta, formed in place: at most three (count, 64) float arrays
-    are alive per block, besides the finished blocks.  The draws differ from
-    ``stick_breaking``'s ``Generator.beta`` stream; the law is the same.
+    are alive per block, besides the finished blocks.
     """
     if not 0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
@@ -172,16 +165,6 @@ def pd_degenerate(alpha: float) -> OrderedPartition:
     return OrderedPartition.from_masses([alpha] if alpha > 0 else [])
 
 
-def _pick(masses: list[float], available: list[int], u: float) -> int | None:
-    """Slot in ``available`` whose running mass first exceeds u; None when u passes them all."""
-    acc = 0.0
-    for slot, j in enumerate(available):
-        acc += masses[j]
-        if u < acc:
-            return slot
-    return None
-
-
 def size_biased(
     p: OrderedPartition, count: int, rng: np.random.Generator
 ) -> SizeBiasedSample:
@@ -194,52 +177,48 @@ def size_biased(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    g = _as_generator(rng)
-    masses = list(p.masses)
-    available = list(range(len(masses)))
-    total = p.total
-    drawn = 0.0
-    values: list[float] = []
-    for _ in range(count):
-        denom = 1.0 - drawn
-        if denom <= 1e-15:
-            values.append(0.0)
-            continue
-        pick = _pick(masses, available, g.random() * denom)
-        if pick is None:
-            # landed in the zero reservoir of mass (1 - total) / denom
-            values.append(0.0)
-        else:
-            j = available.pop(pick)
-            values.append(masses[j])
-            drawn += masses[j]
-    return SizeBiasedSample(values=tuple(values), source_total=total)
+    return _size_biased_draws(p, count, rng, reservoir=True)
 
 
 def positive_size_biased(
     p: OrderedPartition, count: int, rng: np.random.Generator
 ) -> SizeBiasedSample:
     """Size-biased draws of p / ||p||_1 rescaled by ||p||_1: no zeros before exhaustion."""
-    total = p.total
-    if total <= 0.0:
+    if p.total <= 0.0:
         raise ValueError("positive size-biasing needs ||p||_1 > 0")
+    return _size_biased_draws(p, count, rng, reservoir=False)
+
+
+def _size_biased_draws(p: OrderedPartition, count: int, rng, reservoir: bool) -> SizeBiasedSample:
+    """``count`` size-biased draws without replacement from the blocks of p.
+
+    A draw scales a uniform by the mass not yet drawn, counted from 1 with the
+    zero reservoir and from ||p||_1 without.  A uniform past the blocks draws
+    zero from the reservoir, or else (only rounding gives it) the last block.
+    A spent mass, or no block left outside the reservoir, draws zero and reads
+    no uniform.
+    """
     g = _as_generator(rng)
     masses = list(p.masses)
-    available = list(range(len(masses)))
-    remaining = total
+    total = p.total
+    start, spent = (1.0, 1e-15) if reservoir else (total, 1e-15 * total)
+    drawn = 0.0
     values: list[float] = []
     for _ in range(count):
-        if not available or remaining <= 1e-15 * total:
-            values.append(0.0)
-            continue
-        pick = _pick(masses, available, g.random() * remaining)
-        if pick is None:
-            # rounding left u past the last block: take it
-            pick = len(available) - 1
-        j = available.pop(pick)
-        values.append(masses[j])
-        remaining -= masses[j]
+        value = 0.0
+        if start - drawn > spent and (masses or reservoir):
+            cum = list(accumulate(masses))
+            u = g.random() * (start - drawn)
+            if not reservoir or (cum and u < cum[-1]):
+                value = masses.pop(_first_above(cum, u))
+                drawn += value
+        values.append(value)
     return SizeBiasedSample(values=tuple(values), source_total=total)
+
+
+def _first_above(cum: list[float], x: float) -> int:
+    """First index whose running sum exceeds x, clamped to the last index."""
+    return min(bisect_right(cum, x), len(cum) - 1)
 
 
 def positive_size_biased_first_batch(
@@ -257,8 +236,6 @@ def norms(p: OrderedPartition, k: int) -> float:
     """sum_i p_i^k (the k-norm raised to the k-th power)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if not p.masses:
-        return 0.0
     return float(np.sum(p.as_array() ** k))
 
 

@@ -194,19 +194,7 @@ def to_partition(eta: Configuration) -> OrderedPartition:
     if eta.N == 0:
         warnings.warn("empty configuration maps to the empty partition", stacklevel=2)
         return OrderedPartition.from_masses([])
-    return OrderedPartition(tuple(partition_masses(eta.occupations[None, :])[0]))
-
-
-def partition_masses(occ: np.ndarray) -> list[list[float]]:
-    """Descending positive masses of each row of a (count, L) array over its row total.
-
-    A row of total zero gives an empty list.
-    """
-    desc = np.sort(occ, axis=1)[:, ::-1]
-    sizes = (desc > 0).sum(axis=1)
-    desc = desc[:, : sizes.max()]
-    masses = (desc / np.maximum(desc.sum(axis=1, keepdims=True), 1)).tolist()
-    return [row[:k] for row, k in zip(masses, sizes.tolist())]
+    return OrderedPartition.from_masses((eta.occupations / eta.N).tolist())
 
 
 def zero_fraction_stats(table: LogZTable, L: int, N: int) -> DiagnosticsReport:

@@ -11,7 +11,6 @@ for the convergence and reversibility diagnostics.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -20,7 +19,7 @@ from itertools import accumulate, islice
 import numpy as np
 
 from .ensembles import _check_cell, cached_logz
-from .partitions import OrderedPartition, _as_generator
+from .partitions import OrderedPartition, _as_generator, _first_above
 from .report import DiagnosticsReport
 from .sampler import Configuration, sample_configurations
 from .weights import WeightFamily
@@ -28,6 +27,7 @@ from .weights import WeightFamily
 LATTICE_TOL = 1e-9
 # rows per lattice-kernel call: bounds the move arrays, a few hundred moves a row
 ROW_BATCH = 512
+MC_CHUNK = 20_000  # canonical draws per chunk of an mc defect; equal sorted rows share one h
 
 
 # ---------------------------------------------------------------------------
@@ -318,11 +318,6 @@ class SplitMergeState:
     time: float
     merges: int
     splits: int
-
-
-def _first_above(cum: list[float], x: float) -> int:
-    """First index whose running sum exceeds x, clamped to the last index."""
-    return min(bisect_right(cum, x), len(cum) - 1)
 
 
 class _SplitMergeCore:
@@ -626,7 +621,6 @@ def reversibility_defect(
     mode: str = "exact",
     samples: int | None = None,
     rng=None,
-    chunk: int = 20_000,
 ) -> DefectResult:
     """mu_{L,N}(f G g) - mu_{L,N}(g G f) for the lattice generator at cutoff eps.
 
@@ -637,10 +631,10 @@ def reversibility_defect(
     entries equal to v, zeros counted as a value); a row of weight 0 adds
     0 * h.  It refuses more than 10^7 partitions, and ``n`` is their count.
     mc mode averages h over ``samples`` exact canonical draws, one h per
-    distinct sorted configuration of each chunk, and reports a standard
-    error; ``n`` is the sample count.  Both modes pass their rows to the
-    lattice generator ROW_BATCH at a time.  The defect is antisymmetric in
-    (f, g) by construction.
+    distinct sorted configuration of each ``MC_CHUNK`` draws, and reports a
+    standard error; ``n`` is the sample count.  Both modes pass their rows to
+    the lattice generator ROW_BATCH at a time.  The defect is antisymmetric
+    in (f, g) by construction.
     """
     params = {"family": family.to_json_dict(), "L": L, "N": N, "eps": eps, "theta": theta,
               "f": f.label or "f", "g": g.label or "g"}
@@ -657,7 +651,7 @@ def reversibility_defect(
     elif mode == "mc":
         if not samples or samples < 2:
             raise ValueError("mc mode needs a sample count >= 2")
-        batches = _mc_batches(cached_logz(family, L, N), L, N, samples, _as_generator(rng), chunk)
+        batches = _mc_batches(cached_logz(family, L, N), L, N, samples, _as_generator(rng))
     else:
         raise ValueError("mode must be 'exact' or 'mc'")
 
@@ -689,10 +683,10 @@ def _exact_batches(table, L: int, N: int):
         yield rows, np.exp(table.log_w[rows].sum(axis=1) + log_norm - log_mult)
 
 
-def _mc_batches(table, L: int, N: int, samples: int, gen, chunk: int):
-    """(distinct sorted rows, their counts) of each chunk of draws, ROW_BATCH at a time."""
-    for done in range(0, samples, chunk):
-        occ = sample_configurations(table, L, N, min(chunk, samples - done), gen)
+def _mc_batches(table, L: int, N: int, samples: int, gen):
+    """(distinct sorted rows, their counts) of each MC_CHUNK draws, ROW_BATCH at a time."""
+    for done in range(0, samples, MC_CHUNK):
+        occ = sample_configurations(table, L, N, min(MC_CHUNK, samples - done), gen)
         occ.sort(axis=1)
         # group equal sorted rows by their bytes; np.unique(axis=0) compares
         # rows field by field and costs more than the draws on wide rows

@@ -117,7 +117,11 @@ class WeightFamily:
             for rec in csv.reader(fh):
                 if not rec or rec[0].strip().lower() in ("l", "#l"):
                     continue
+                if len(rec) < 3:
+                    raise ValueError(f"family CSV row {rec!r} needs the three fields L, n, w")
                 L, n, w = int(rec[0]), int(rec[1]), float(rec[2])
+                if L < 0 or n < 0:
+                    raise ValueError(f"family CSV row {rec!r} has a negative L or n")
                 rows.setdefault(L, {})[n] = w
 
         def to_seq(d):

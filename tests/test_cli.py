@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pdlab import SeededRng, WeightFamily, build_logz, cli, sample_configurations
+from pdlab import (
+    Configuration, SeededRng, WeightFamily, build_logz, cli, sample_configurations, to_partition,
+)
 from pdlab.cli import main
-from pdlab.sampler import partition_masses
 
 
 @pytest.fixture
@@ -94,6 +95,15 @@ class TestZn:
     def test_missing_family_is_config_error(self, tmp_path):
         assert run("--out", str(tmp_path), "zn", "--L", "2", "--N", "2") == 2
 
+    @pytest.mark.parametrize("row", ["0,0", "0", "-1,1,0.5", "0,-1,0.5"])
+    def test_malformed_family_csv_row_is_config_error(self, tmp_path, capsys, row):
+        family = tmp_path / "short.csv"
+        family.write_text(f"L,n,w\n0,0,1\n{row}\n0,1,1\n")
+        out = tmp_path / "o"
+        assert run("--family", str(family), "--out", str(out), "zn", "--L", "2", "--N", "2") == 2
+        assert repr(row.split(",")) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSample:
     def test_seed_reproducibility(self, tmp_path, bulk_family):
@@ -163,7 +173,7 @@ class TestSample:
     ])
     def test_files_match_partition_masses_formatting(self, tmp_path, doc, L, N):
         # the text the lookup tables replace: str per entry, and repr of each
-        # float that partition_masses divides out of its row
+        # float that to_partition divides out of its row
         path = tmp_path / "family.json"
         path.write_text(json.dumps(doc))
         out, count = tmp_path / "o", 2_000
@@ -173,7 +183,8 @@ class TestSample:
         assert doc["kind"] != "table" or (occ > 0).all()
         lines = [" ".join(map(str, row)) for row in occ.tolist()]
         rows = ["sample,rank,mass"]
-        for s, masses in enumerate(partition_masses(occ)):
+        for s, row in enumerate(occ):
+            masses = to_partition(Configuration(row)).masses if N else ()
             rows += [f"{s},{r},{mass!r}" for r, mass in enumerate(masses, start=1)]
         assert len(rows) == 1 + (occ > 0).sum()
         for name, body in (("configurations.txt", lines), ("partitions.csv", rows)):

@@ -86,6 +86,15 @@ class TestStickBreaking:
         with pytest.raises(ValueError, match="finite"):
             stick_breaking_batch(math.inf, 0.8, 3, SeededRng(1))
 
+    @pytest.mark.parametrize("theta, alpha", [(0.05, 1.0), (0.7, 1.0), (3.0, 0.4), (50.0, 0.8)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scalar_is_row_zero_of_a_batch_of_one(self, theta, alpha, seed):
+        res = stick_breaking(theta, alpha, SeededRng(seed))
+        m, residual = stick_breaking_batch(theta, alpha, 1, SeededRng(seed))
+        assert res.gem == tuple(m[0][m[0] > 0].tolist())
+        assert res.residual == residual[0]
+        assert res.partition == OrderedPartition.from_masses(res.gem)
+
     def test_partition_is_sorted_gem_multiset(self):
         res = stick_breaking(0.7, rng=SeededRng(5))
         assert sorted(res.gem, reverse=True) == list(res.partition.masses)
