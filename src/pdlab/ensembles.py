@@ -68,6 +68,10 @@ def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
     The vector is rescaled to peak 1, positive as each input holds a 1 or is a
     pmf.  All terms are nonnegative, so every cell is exact to a relative error
     of its length times the rounding unit, as long as no term underflows.
+    ``build_logz`` passes full rows on purpose: row l of a grid can end in
+    cells that are exactly 0 (for the table [1, 1, 1] every cell past 2l), and
+    cutting them off shifts where each cell's dot product starts, which
+    changes the last bits of grid cells (12 of the 100 x 200 [1, 1, 1] grid).
     """
     out = np.convolve(a, b)
     peak = out.max()
@@ -409,18 +413,37 @@ def phi_sequence(family: WeightFamily, L: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _nonzero_head(a: np.ndarray) -> np.ndarray:
+    """a up to its last nonzero cell (a holds one)."""
+    return a[: np.flatnonzero(a)[-1] + 1]
+
+
 def _power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:
-    """L-fold convolution of a pmf by binary exponentiation with per-fold rescaling."""
+    """L-fold convolution of a pmf by binary exponentiation with per-fold rescaling.
+
+    Each fold convolves its operands only up to their last nonzero cell: past
+    it the folded laws hold cells that underflowed to exactly 0 (87% of the
+    last squaring's operands for bulk_tail at L = 512), which add nothing to
+    any sum.  Every cell is still a sum of the same nonnegative products, so
+    the bound of ``_scaled_convolve`` holds with the span length in place of
+    the full one.  Leading zeros (w(0) = 0) are kept: dropping them shifts
+    where each cell's dot product starts, which changes the rounding of cells
+    near the peak.  The result has the full length L * (p.size - 1) + 1.
+    """
     result, log_result = np.array([1.0]), 0.0
-    base, log_base = p.copy(), 0.0
+    base, log_base = _nonzero_head(p), 0.0
     k = L
     while k:
         if k & 1:
             result, log_result = _scaled_convolve(result, log_result, base, log_base)
+            result = _nonzero_head(result)
         k >>= 1
         if k:
             base, log_base = _scaled_convolve(base, log_base, base, log_base)
-    return result, log_result
+            base = _nonzero_head(base)
+    out = np.zeros(L * (p.size - 1) + 1)
+    out[: result.size] = result
+    return out, log_result
 
 
 def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> float:
@@ -444,9 +467,13 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
 
 
 def tv_distance_marginal(table: LogZTable, L: int, N: int, phi: float) -> float:
-    """Total-variation distance between the exact single-site marginal and its family's tilted law."""
+    """Total-variation distance between the exact single-site marginal and its tilted law.
+
+    The marginal uses the table's pinned weight row w_{L_max}, so the tilted
+    law is that row's, also when L < L_max.
+    """
     pi = single_site_marginals(table, L, N)
-    gc = grand_canonical_stats(table.family, L, phi)
+    gc = grand_canonical_stats(table.family, table.L_max, phi)
     nu = gc.pmf()
     k = min(pi.size, nu.size)
     dist = float(np.abs(pi[:k] - nu[:k]).sum())

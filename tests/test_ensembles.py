@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -29,6 +30,7 @@ from pdlab import (
 )
 
 from pdlab import ensembles
+from pdlab.cli import main
 from pdlab.ensembles import _tilted_terms
 
 from oracle import (
@@ -416,6 +418,15 @@ class TestTvDistance:
             vals.append(tv_distance_marginal(t, L, N, phi))
         assert vals[0] > vals[1] > vals[2]
 
+    def test_larger_table_tilts_its_pinned_row(self):
+        # a 40 x 20 table pins w_40, so at (20, 10) the tilted law is w_40's too
+        t = build_logz(BULK, 40, 20)
+        pi = single_site_marginals(t, 20, 10)
+        nu = grand_canonical_stats(BULK, 40, 0.6).pmf()
+        k = max(pi.size, nu.size)
+        direct = 0.5 * float(np.abs(np.pad(pi, (0, k - pi.size)) - np.pad(nu, (0, k - nu.size))).sum())
+        assert tv_distance_marginal(t, 20, 10, 0.6) == pytest.approx(direct, rel=1e-12)
+
 
 class TestLocalClt:
     def test_bernoulli_matches_binomial(self):
@@ -529,3 +540,72 @@ class TestLogSumExp:
             warnings.simplefilter("error")
             assert ensembles._logsumexp(np.full(3, -math.inf)) == -math.inf
             assert (ensembles._logsumexp(np.full((2, 3), -math.inf), axis=1) == -math.inf).all()
+
+
+def full_power_convolve(p, L):
+    """L-fold convolution by binary exponentiation over full-length operands."""
+    result, log_result = np.array([1.0]), 0.0
+    base, log_base = p.copy(), 0.0
+    k = L
+    while k:
+        if k & 1:
+            out = np.convolve(result, base)
+            peak = out.max()
+            result, log_result = out / peak, log_result + log_base + math.log(peak)
+        k >>= 1
+        if k:
+            out = np.convolve(base, base)
+            peak = out.max()
+            base, log_base = out / peak, 2 * log_base + math.log(peak)
+    return result, log_result
+
+
+GAP = WeightFamily.bulk_tail(1.0, 2, [0.5, 0.0, 0.5])
+
+
+class TestPowerConvolve:
+    """The span-only folds against full-length folds, on the law local_clt_report folds.
+
+    At the flatter tilts of relative_entropy_bound a few cells above 1e-250 of
+    the peak can also move by an ulp or two (bulk_tail at L = 333, rho = 0.25);
+    test_cli_output_unchanged pins what that path reports.
+    """
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 100, 333, 512])
+    @pytest.mark.parametrize(
+        "family",
+        [BULK, GAP, INCLUSION05, WeightFamily.from_table([0.0, 1.0, 1.0]),
+         WeightFamily.from_table([1.0]), BERNOULLI],
+        ids=["bulk_tail", "gap", "inclusion", "table011", "point", "bernoulli"],
+    )
+    def test_matches_full_length_folds(self, family, L):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # phi_L clipped below 1 for the tables
+            p = grand_canonical_stats(family, L, phi_sequence(family, L)).pmf()
+        got, log_got = ensembles._power_convolve(p, L)
+        want, log_want = full_power_convolve(p, L)
+        assert got.shape == want.shape and same_bits(log_got, log_want)
+        big = want >= 1e-250 * want.max()
+        assert np.array_equal(got[big], want[big])
+        assert (np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want))).all()
+
+    def test_cli_output_unchanged(self, tmp_path, monkeypatch):
+        families = {
+            "bulk": ({"kind": "bulk_tail", "theta": 1.0, "A": 1, "bulk": [0.5, 0.5]}, "0.25", "32,128,512"),
+            "gap": ({"kind": "bulk_tail", "theta": 1.0, "A": 2, "bulk": [0.5, 0.0, 0.5]}, "0.4", "100,333"),
+        }
+
+        def csv_bytes(tag):
+            out = {}
+            for name, (spec, rho, sizes) in families.items():
+                path = tmp_path / f"{name}.json"
+                path.write_text(json.dumps(spec))
+                dest = tmp_path / tag / name
+                assert main(["--family", str(path), "--out", str(dest), "ensembles",
+                             "--rho", rho, "--sizes", sizes]) == 0
+                out[name] = (dest / "ensembles.csv").read_bytes()
+            return out
+
+        spans = csv_bytes("spans")
+        monkeypatch.setattr(ensembles, "_power_convolve", full_power_convolve)
+        assert spans == csv_bytes("full")
