@@ -19,6 +19,8 @@ import numpy as np
 TOTAL_SLACK = 1e-12
 TRUNC_EPS = 1e-12  # stick-breaking stops once the unbroken remainder is below this
 K_MAX = 10_000  # ... or once it has broken this many sticks
+STICK_CHUNK_ROWS = 4_096  # rows filled at a time: a 2 MB temporary per 64-column block
+STICK_MAX_BYTES = 1 << 30  # refuse a stick-breaking result larger than this
 
 
 @dataclass(frozen=True)
@@ -131,8 +133,15 @@ def stick_breaking_batch(
     Each Beta(1, theta) fraction u comes from one standard exponential E by
     inverting its CDF 1 - (1 - x)^theta: log(1 - u) = -E / theta.  So a block
     of 64 columns is u = -expm1(e) and the kept lengths exp(cumsum(e)), with
-    e = -E / theta, formed in place: at most three (count, 64) float arrays
-    are alive per block, besides the finished blocks.
+    e = -E / theta.  Each block is allocated once and filled
+    ``STICK_CHUNK_ROWS`` rows at a time, with e formed in place: memory is the
+    result plus a chunk's (rows, 64) temporaries, and two copies of the result
+    while several blocks are concatenated.  The exponentials come from one
+    stream in C order, so the chunks read the same values as one (count, 64)
+    draw, and the rows are bitwise those of a whole-block fill.
+
+    A result past ``STICK_MAX_BYTES`` (theta near 1e300 runs every row to
+    ``K_MAX`` columns) raises FloatingPointError before it is allocated.
     """
     if not 0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
@@ -144,16 +153,24 @@ def stick_breaking_batch(
     k = 0
     while k < K_MAX and float(residual.max()) >= TRUNC_EPS:
         step = min(64, K_MAX - k)
-        e = g.standard_exponential((count, step))
-        e /= -theta
-        pieces = np.expm1(e)
-        np.negative(pieces, out=pieces)
-        keep = np.exp(np.cumsum(e, axis=1, out=e), out=e)
-        keep *= residual[:, None]
-        pieces[:, 0] *= residual
-        pieces[:, 1:] *= keep[:, :-1]
-        blocks.append(pieces)
-        residual = keep[:, -1].copy()
+        if count * (k + step) * 8 > STICK_MAX_BYTES:
+            raise FloatingPointError(
+                f"stick-breaking at theta = {theta!r} would need a {count} x {k + step} "
+                f"matrix, past the {STICK_MAX_BYTES}-byte cap"
+            )
+        block = np.empty((count, step))
+        for a in range(0, count, STICK_CHUNK_ROWS):
+            b = min(a + STICK_CHUNK_ROWS, count)
+            e = g.standard_exponential((b - a, step))
+            e /= -theta
+            pieces = np.expm1(e, out=block[a:b])
+            np.negative(pieces, out=pieces)
+            keep = np.exp(np.cumsum(e, axis=1, out=e), out=e)
+            keep *= residual[a:b, None]
+            pieces[:, 0] *= residual[a:b]
+            pieces[:, 1:] *= keep[:, :-1]
+            residual[a:b] = keep[:, -1]
+        blocks.append(block)
         k += step
     return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), residual
 

@@ -82,29 +82,30 @@ def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration
     Each site inverts its conditional law by sequential search: it adds up
     p(n) = w(n) Z_{m-1, r-n} / Z_{m, r} for n = 0, 1, ... and stops at the
     first n whose running sum passes the site's uniform, so a draw reads
-    N + L terms in all.  When rounding leaves the sum just short of the
-    uniform, the largest n with p(n) > 0 is taken, never a zero-weight one.
+    N + L terms in all.  The L - 1 uniforms come from one call, the same
+    doubles as one call per site.  When rounding leaves the sum at or below
+    the uniform, the walk steps back from r to the largest n with p(n) > 0,
+    never a zero-weight one.
     """
     _check_cell(table, L, N)
     g = _as_generator(rng)
     logz, log_w = table.logz, table.log_w[: N + 1].tolist()
-    occ = np.zeros(L, dtype=np.int64)
+    occ = []
     r = N
-    for x in range(L - 1):
-        m = L - x
-        u = g.random()
+    for m, u in zip(range(L, 1, -1), g.random(L - 1).tolist()):
         rest, top = logz[m - 1], logz.item(m, r)
-        acc, n = 0.0, 0
-        for k in range(r + 1):
-            p = math.exp(log_w[k] + rest.item(r - k) - top)
-            if p > 0.0:
-                n = k
-            acc += p
+        acc = 0.0
+        for n in range(r + 1):
+            acc += math.exp(log_w[n] + rest.item(r - n) - top)
             if acc > u:
                 break
-        occ[x] = n
+        else:
+            while n > 0 and not math.exp(log_w[n] + rest.item(r - n) - top) > 0.0:
+                n -= 1
+        occ.append(n)
         r -= n
-    occ[L - 1] = r
+    occ.append(r)
+    occ = np.array(occ, dtype=np.int64)
     _check_draws(table, occ, N)
     return Configuration(occ)
 

@@ -14,11 +14,11 @@ each.  The library sums every move in one batch; these are the reference it
 must match, and the reference reversibility defect walks every
 configuration with the per-block lattice generator.
 
-The last two oracles are the NumPy forms of the two hot loops, kept as the
-code the loop-free versions must reproduce bit for bit: the batch sampler
-with one cumsum and searchsorted per (site, remainder) group, and the
-split-merge event step with a cumsum and searchsorted over an array of the
-blocks on every event.
+The last three oracles are earlier forms of hot loops, kept as the code the
+library must reproduce bit for bit: stick-breaking that draws and fills each
+64-column block for all rows at once, the batch sampler with one cumsum and
+searchsorted per (site, remainder) group, and the split-merge event step with
+a cumsum and searchsorted over an array of the blocks on every event.
 """
 
 from __future__ import annotations
@@ -305,6 +305,27 @@ def log_space_grid(logw: np.ndarray, L: int) -> np.ndarray:
     for l in range(2, L + 1):
         grid[l] = log_convolve_row(grid[l - 1], logw)
     return grid
+
+
+def stick_breaking_whole_blocks(theta: float, alpha: float, count: int, g):
+    """Stick-breaking with each 64-column block drawn as one (count, 64) array."""
+    blocks = []
+    residual = np.full(count, alpha)
+    k = 0
+    while k < 10_000 and float(residual.max()) >= 1e-12:
+        step = min(64, 10_000 - k)
+        e = g.standard_exponential((count, step))
+        e /= -theta
+        pieces = np.expm1(e)
+        np.negative(pieces, out=pieces)
+        keep = np.exp(np.cumsum(e, axis=1, out=e), out=e)
+        keep *= residual[:, None]
+        pieces[:, 0] *= residual
+        pieces[:, 1:] *= keep[:, :-1]
+        blocks.append(pieces)
+        residual = keep[:, -1].copy()
+        k += step
+    return (blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)), residual
 
 
 def sample_configurations_by_group(logz: np.ndarray, logw: np.ndarray, L: int, N: int, count: int, g):

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from pdlab import (
     Configuration, SeededRng, WeightFamily, build_logz, cli, sample_configurations, to_partition,
 )
+from pdlab import ensembles
 from pdlab.cli import main
 
 
@@ -193,6 +196,20 @@ class TestSample:
             assert all(line.startswith("# ") for line in got[:2])
             assert got[2:] == body + [""]
 
+    def test_partition_file_memory_stays_small(self, tmp_path):
+        # the sampling benchmark's draw; a string per partition line holds ~19 MB here
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({"kind": "bulk_tail", "theta": 1.0, "A": 2, "bulk": [0.5, 0.0, 0.5]}))
+        argv = ["--family", str(path), "--out", str(tmp_path / "o"),
+                "sample", "--L", "50", "--N", "100", "--count", "10000", "--partitions"]
+        tracemalloc.start()
+        try:
+            assert run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
     def test_zero_partition_function_exits_2(self, tmp_path, capsys):
         family = tmp_path / "t111.json"
         family.write_text(json.dumps({"kind": "table", "weights": [1, 1, 1]}))
@@ -357,6 +374,23 @@ class TestEnsembles:
         assert code == 2
         assert not (out / "ensembles.csv").exists()
 
+
+    def test_unreachable_total_exits_2_before_any_fold(self, tmp_path, monkeypatch, capsys):
+        # table [0,1,1]: every site holds >= 1, so no configuration of 8 sites carries N = 2
+        family = tmp_path / "t011.json"
+        family.write_text(json.dumps({"kind": "table", "weights": [0, 1, 1]}))
+        folds = []
+        fold = ensembles._power_convolve
+        monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L: folds.append(L) or fold(p, L))
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run("--family", str(family), "--out", str(out), "ensembles", "--rho", "0.25", "--sizes", "8")
+        assert code == 2
+        assert "Z_{8,2} is exactly zero" in capsys.readouterr().err
+        assert folds == []
+        assert not [w for w in seen if "underflowed" in str(w.message)]
+        assert not out.exists()
 
 class TestNumericFailure:
     def test_supercritical_density_exits_3(self, tmp_path, bulk_family, capsys):

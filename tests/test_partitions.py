@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from pdlab import (
     stick_breaking,
     stick_breaking_batch,
 )
-from pdlab.partitions import K_MAX, positive_size_biased_first_batch
+from pdlab import partitions
+from pdlab.partitions import K_MAX, STICK_CHUNK_ROWS, positive_size_biased_first_batch
+
+from oracle import stick_breaking_whole_blocks
 
 
 masses_strategy = st.lists(
@@ -175,6 +179,45 @@ class TestStickBreaking:
         assert doc["sorted"]["order"] == "sorted"
         assert doc["sorted"]["masses"] == sorted(doc["gem"]["masses"], reverse=True)
         assert doc["residual"] == res.residual
+
+
+class TestStickBreakingChunks:
+    @pytest.mark.parametrize(
+        "theta, chunk",
+        # at theta = 50 rows run to ~1,400 columns, so 3 x 4,096 + 7 rows would be a
+        # 145 MB result; a 64-row chunk crosses the same chunk and block boundaries
+        [(0.05, STICK_CHUNK_ROWS), (1.0, STICK_CHUNK_ROWS), (50.0, 64)],
+    )
+    @pytest.mark.parametrize("chunks, extra", [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)])
+    def test_bitwise_equal_to_whole_blocks(self, monkeypatch, theta, chunk, chunks, extra):
+        monkeypatch.setattr(partitions, "STICK_CHUNK_ROWS", chunk)
+        count = chunks * chunk + extra
+        g, g_ref = SeededRng(41).generator, SeededRng(41).generator
+        m, res = stick_breaking_batch(theta, 0.8, count, g)
+        m_ref, res_ref = stick_breaking_whole_blocks(theta, 0.8, count, g_ref)
+        assert m.shape == m_ref.shape and m.tobytes() == m_ref.tobytes()
+        assert res.tobytes() == res_ref.tobytes()
+        assert g.bit_generator.state == g_ref.bit_generator.state
+        assert theta != 50.0 or m.shape[1] > 64
+
+    def test_temporaries_stay_one_chunk(self):
+        # a whole-block fill keeps two more (count, 64) arrays alive: ~25 MB here.
+        # The benchmark's draw, 50,000 rows at theta = 1, also stays under the default cap
+        tracemalloc.start()
+        try:
+            m, res = stick_breaking_batch(1.0, 1.0, 50_000, SeededRng(42).generator)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.shape[1] == 64  # one block, so no concatenation copy
+        assert peak - m.nbytes - res.nbytes < 8 * 2**20
+        assert m.nbytes <= partitions.STICK_MAX_BYTES and res.max() < 1e-12
+
+    def test_huge_theta_refused_before_allocating(self, monkeypatch):
+        # theta = 1e300 runs every row to K_MAX columns: a 40 MB result for 500 rows
+        monkeypatch.setattr(partitions, "STICK_MAX_BYTES", 2**20)
+        with pytest.raises(FloatingPointError, match=r"theta = 1e\+300 .* 500 x 320 "):
+            stick_breaking_batch(1e300, 1.0, 500, SeededRng(43).generator)
 
 
 class TestPdDegenerate:

@@ -155,6 +155,16 @@ class TestScalarPath:
             assert block == sample_size_biased_blocks(t, L, N, 1, SeededRng(seed))[0]
 
     @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
+    def test_scalar_draw_leaves_the_stream_where_a_batch_of_one_does(self, cell):
+        fam, L, N = cell
+        t = build_logz(fam, L, N)
+        for seed in range(5):
+            one, batch = SeededRng(seed), SeededRng(seed)
+            sample_configuration(t, L, N, one)
+            sample_configurations(t, L, N, 1, batch)
+            assert one.generator.random() == batch.generator.random()
+
+    @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
     def test_walk_past_the_row_total_keeps_positive_weights(self, cell):
         # u just below 1 can exceed the rounded row sum; the draw must stay legal
         fam, L, N = cell
