@@ -250,6 +250,8 @@ def pair_zero_probability(table: LogZTable, L: int, N: int) -> float:
 def zratio_diagnostic(table: LogZTable, L: int, N: int, kappa: float) -> float:
     """Partition-function ratio Z_{L-1, floor((1-kappa) N)} / Z_{L,N}."""
     _check_cell(table, L, N)
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError("kappa must lie in [0, 1]")
     n_low = int(math.floor((1.0 - kappa) * N + 1e-9))
     return float(np.exp(table.logz[L - 1, n_low] - table.logz[L, N]))
 
@@ -276,7 +278,7 @@ class GrandCanonical:
     terms: np.ndarray = field(repr=False, compare=False)  # log(w(n) phi^n), n <= n_trunc
 
     def pmf(self) -> np.ndarray:
-        p = np.exp(self.terms - _logsumexp(self.terms))
+        p = np.exp(self.terms - self.log_z)
         return p / p.sum()
 
 
@@ -363,20 +365,17 @@ def invert_density(family: WeightFamily, L: int | None, rho: float) -> float:
         except OutOfDomainError:
             return math.inf
 
-    if L is None:
-        hi = 1.0
-        if mean_at(hi) < rho:
+    hi = 1.0
+    while mean_at(hi) < rho:
+        if L is None:  # the limiting weights converge only up to phi = 1
             raise SupercriticalDensityError(
                 f"rho = {rho} exceeds the critical density; no finite fugacity exists"
             )
-    else:
-        hi = 1.0
-        while mean_at(hi) < rho:
-            hi *= 2.0
-            if hi > 1e9:
-                raise SupercriticalDensityError(
-                    f"rho = {rho} is not attained by the tilted law at any fugacity"
-                )
+        if 2.0 * hi > 1e9:
+            raise SupercriticalDensityError(
+                f"rho = {rho} is not attained by the tilted law at any fugacity"
+            )
+        hi *= 2.0
     lo = 0.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)

@@ -61,14 +61,6 @@ class OrderedPartition:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.masses, dtype=float)
 
-    def to_csv(self) -> str:
-        lines = ["rank,mass"]
-        lines += [f"{i},{mass!r}" for i, mass in enumerate(self.masses, start=1)]
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {"order": "sorted", "masses": list(self.masses)}
-
 
 @dataclass(frozen=True)
 class SizeBiasedSample:
@@ -93,13 +85,6 @@ class StickBreakingResult:
     gem: tuple[float, ...]
     partition: OrderedPartition
     residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "gem": {"order": "gem", "masses": list(self.gem)},
-            "sorted": self.partition.to_json_dict(),
-            "residual": self.residual,
-        }
 
 
 def stick_breaking(
@@ -147,6 +132,8 @@ def stick_breaking_batch(
         raise ValueError("theta must be positive and finite")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
+    if count < 1:
+        raise ValueError("count must be >= 1")
     g = _as_generator(rng)
     blocks: list[np.ndarray] = []
     residual = np.full(count, alpha)

@@ -1,10 +1,7 @@
-"""Named diagnostic results with reproducibility metadata and CSV/JSON emission."""
+"""Named diagnostic results with reproducibility metadata; ``pdlab.cli`` writes their JSON."""
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 
 
@@ -56,19 +53,3 @@ class DiagnosticsReport:
                 for r in self.series
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        """CSV mirror of the JSON schema; params are flattened into columns."""
-        buf = io.StringIO()
-        keys = sorted(self.params)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "label", "value", "stderr", *keys])
-        for r in self.series:
-            writer.writerow(
-                [self.name, r.label, repr(r.value), "" if r.stderr is None else repr(r.stderr)]
-                + [self.params[k] for k in keys]
-            )
-        return buf.getvalue()

@@ -121,6 +121,8 @@ def sample_configurations(table: LogZTable, L: int, N: int, count: int, rng) -> 
     Memory is that matrix, never a (count, N + 1) array.
     """
     _check_cell(table, L, N)
+    if count < 1:
+        raise ValueError("count must be >= 1")
     g = _as_generator(rng)
     occ = np.zeros((count, L), dtype=np.int64)
     remaining = np.full(count, N, dtype=np.int64)
@@ -185,6 +187,8 @@ def sample_size_biased_block(table: LogZTable, L: int, N: int, rng) -> int:
 
 
 def sample_size_biased_blocks(table: LogZTable, L: int, N: int, count: int, rng) -> np.ndarray:
+    if count < 1:
+        raise ValueError("count must be >= 1")
     cum = np.cumsum(size_biased_marginals(table, L, N))
     ns = np.searchsorted(cum, _as_generator(rng).random(count) * cum[-1], side="right")
     return np.clip(ns, 1, N).astype(np.int64)

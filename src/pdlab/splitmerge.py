@@ -525,7 +525,7 @@ def rn_derivative_check(
     """Check the change-of-measure identity for merges on random configurations.
 
     For random (eta, x, y) with eta_y = k > 0, the log canonical probability
-    drop from eta to the merged configuration must equal
+    drop from eta to ``lift_merge(eta, x, y)`` must equal
     log[w(eta_x) w(k)] - log[w(eta_x + k) w(0)].  The left side is evaluated
     through the full product over sites, so the comparison exercises the whole
     weight pipeline; deviations are pure floating-point noise.
@@ -546,9 +546,7 @@ def rn_derivative_check(
         if x >= y:
             x += 1
         k = int(row[y])
-        merged = row.copy()
-        merged[x] += k
-        merged[y] = 0
+        merged = lift_merge(Configuration(row), x + 1, y + 1).occupations
         lhs = float(np.sum(logw[row]) - np.sum(logw[merged]))
         rhs = float(logw[row[x]] + logw[k] - logw[row[x] + k] - logw[0])
         worst = max(worst, abs(lhs - rhs))

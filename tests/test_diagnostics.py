@@ -1,4 +1,3 @@
-import json
 import math
 
 import pytest
@@ -235,16 +234,10 @@ class TestTrendTools:
 class TestReportSchema:
     def test_json_schema(self):
         rep = trend_report("demo", [1, 2, 3], [3.0, 2.0, 1.0], params={"seed": 7})
-        doc = json.loads(rep.to_json())
+        doc = rep.to_json_dict()
         assert doc["name"] == "demo"
         assert doc["params"]["seed"] == 7
         assert {row["label"] for row in doc["series"]} >= {"size=1", "trend_strictly_decreasing"}
-
-    def test_csv_mirror_has_header_and_rows(self):
-        rep = trend_report("demo", [1, 2, 3], [3.0, 2.0, 1.0], params={"seed": 7})
-        lines = rep.to_csv().strip().splitlines()
-        assert lines[0].startswith("name,label,value,stderr")
-        assert len(lines) == 1 + len(rep.series)
 
     def test_stderr_round_trip(self):
         from pdlab import DiagnosticsReport

@@ -349,8 +349,14 @@ class TestInvertDensity:
         assert invert_density(BULK, None, 0.5) == pytest.approx(1.0, abs=1e-7)
 
     def test_supercritical_rejected_for_limit(self):
-        with pytest.raises(SupercriticalDensityError):
+        with pytest.raises(SupercriticalDensityError, match="exceeds the critical density"):
             invert_density(BULK, None, 0.75)
+
+    def test_unattained_density_rejected_for_finite_L(self):
+        # five sites of at most one particle hold density <= 1 at every phi; the
+        # bracket doubles phi up to 1e9 before giving up
+        with pytest.raises(SupercriticalDensityError, match="not attained"):
+            invert_density(WeightFamily.from_table([1, 1]), 5, 2.0)
 
     def test_finite_L_round_trip(self):
         phi = invert_density(BULK, 50, 0.8)
@@ -502,6 +508,13 @@ class TestZRatio:
         t = build_logz(BULK, 200, 400)
         ratio = zratio_diagnostic(t, 200, 400, 0.1)
         assert ratio <= (1 - 0.1 / 0.75) ** -1 + 1e-9
+
+    @pytest.mark.parametrize("kappa", [1.5, -0.5, math.nan])
+    def test_kappa_outside_unit_interval_rejected(self, kappa):
+        # 1.5 would index row L - 1 at n = -5 (its end), -0.5 a cell past N
+        t = build_logz(INCLUSION05, 10, 20)
+        with pytest.raises(ValueError, match=r"kappa must lie in \[0, 1\]"):
+            zratio_diagnostic(t, 10, 10, kappa)
 
 
 # entries of log-weight rows: exact zeros, ties on a coarse integer grid, and

@@ -53,12 +53,6 @@ class TestOrderedPartition:
         assert p.entry(1) == 0.5
         assert p.entry(3) == 0.0
 
-    def test_csv_round_shape(self):
-        p = OrderedPartition.from_masses([0.5, 0.25])
-        lines = p.to_csv().strip().splitlines()
-        assert lines[0] == "rank,mass"
-        assert len(lines) == 3
-
     @given(masses_strategy)
     @settings(max_examples=60, deadline=None)
     def test_from_masses_invariants(self, vals):
@@ -89,6 +83,11 @@ class TestStickBreaking:
             stick_breaking(math.inf, rng=SeededRng(1))
         with pytest.raises(ValueError, match="finite"):
             stick_breaking_batch(math.inf, 0.8, 3, SeededRng(1))
+
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rejects_count_below_one(self, count):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            stick_breaking_batch(1.0, 1.0, count, SeededRng(1))
 
     @pytest.mark.parametrize("theta, alpha", [(0.05, 1.0), (0.7, 1.0), (3.0, 0.4), (50.0, 0.8)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -171,14 +170,6 @@ class TestStickBreaking:
         res = stick_breaking(1e6, rng=SeededRng(9))
         assert len(res.gem) == K_MAX
         assert res.residual > 0.98
-
-    def test_json_tags(self):
-        res = stick_breaking(1.0, rng=SeededRng(10))
-        doc = res.to_json_dict()
-        assert doc["gem"]["order"] == "gem"
-        assert doc["sorted"]["order"] == "sorted"
-        assert doc["sorted"]["masses"] == sorted(doc["gem"]["masses"], reverse=True)
-        assert doc["residual"] == res.residual
 
 
 class TestStickBreakingChunks:

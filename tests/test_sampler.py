@@ -324,6 +324,17 @@ class TestRejectedCells:
         with pytest.raises(ValueError, match=r"Z_\{5,11\} is exactly zero"):
             draw(t, 5, 11, SeededRng(0))
 
+    @pytest.mark.parametrize("count", [0, -1])
+    @pytest.mark.parametrize(
+        "draw",
+        [sample_configurations, sample_size_biased_blocks],
+        ids=["configurations", "blocks"],
+    )
+    def test_count_below_one(self, draw, count):
+        t = build_logz(BULK, 3, 4)
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            draw(t, 3, 4, count, SeededRng(0))
+
     def test_blocks_outside_table(self):
         t = build_logz(BULK, 2, 4)
         with pytest.raises(ValueError, match="covers up to"):
