@@ -85,22 +85,26 @@ def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration
     N + L terms in all.  The L - 1 uniforms come from one call, the same
     doubles as one call per site.  When rounding leaves the sum at or below
     the uniform, the walk steps back from r to the largest n with p(n) > 0,
-    never a zero-weight one.
+    never a zero-weight one.  The grid is read through a flat memoryview,
+    which indexes faster than the array and yields the same doubles.
     """
     _check_cell(table, L, N)
     g = _as_generator(rng)
-    logz, log_w = table.logz, table.log_w[: N + 1].tolist()
+    logz = np.ascontiguousarray(table.logz)
+    flat, width = memoryview(logz).cast("B").cast("d"), logz.shape[1]
+    log_w = table.log_w[: N + 1].tolist()
     occ = []
     r = N
     for m, u in zip(range(L, 1, -1), g.random(L - 1).tolist()):
-        rest, top = logz[m - 1], logz.item(m, r)
+        # term n reads log Z_{m-1, r-n} at flat[rest - n]
+        rest, top = (m - 1) * width + r, flat[m * width + r]
         acc = 0.0
         for n in range(r + 1):
-            acc += math.exp(log_w[n] + rest.item(r - n) - top)
+            acc += math.exp(log_w[n] + flat[rest - n] - top)
             if acc > u:
                 break
         else:
-            while n > 0 and not math.exp(log_w[n] + rest.item(r - n) - top) > 0.0:
+            while n > 0 and not math.exp(log_w[n] + flat[rest - n] - top) > 0.0:
                 n -= 1
         occ.append(n)
         r -= n

@@ -28,6 +28,7 @@ LATTICE_TOL = 1e-9
 # rows per lattice-kernel call: bounds the move arrays, a few hundred moves a row
 ROW_BATCH = 512
 MC_CHUNK = 20_000  # canonical draws per chunk of an mc defect; equal sorted rows share one h
+UNIFORM_BLOCK = 256  # uniforms per Generator call in the event loop
 
 
 # ---------------------------------------------------------------------------
@@ -320,16 +321,25 @@ class SplitMergeState:
     splits: int
 
 
+def _uniforms(g: np.random.Generator):
+    """Endless uniforms on [0, 1) from g, UNIFORM_BLOCK per Generator call."""
+    while True:
+        yield from g.random(UNIFORM_BLOCK).tolist()
+
+
 class _SplitMergeCore:
     """Mutable block list with the running split/merge event kernel.
 
-    Picks invert running sums of the Python block list by binary search, the
-    direct method of Gillespie with no NumPy call per event.
+    The direct method of Gillespie: the wait is -log1p(-u) / rate, and picks
+    invert running sums of the Python block list by binary search.  Every
+    uniform comes from a ``_uniforms`` block of g, so no event makes a NumPy
+    call and g advances by whole blocks.
     """
 
-    def __init__(self, masses, theta: float):
+    def __init__(self, masses, theta: float, g: np.random.Generator):
         if not 0.0 <= theta < math.inf:
             raise ValueError("theta must be >= 0 and finite")
+        self._next_u = _uniforms(g).__next__
         self.blocks = [float(v) for v in masses if v > 0.0]
         self.theta = float(theta)
         self.s1 = float(sum(self.blocks))
@@ -344,7 +354,7 @@ class _SplitMergeCore:
         self.s2 = float(sum(v * v for v in self.blocks))
         self._events_since_refresh = 0
 
-    def step(self, g: np.random.Generator) -> float:
+    def step(self) -> float:
         """Advance one event; returns the waiting time (inf when absorbed)."""
         if self._events_since_refresh >= 4096:
             self._refresh()
@@ -354,12 +364,13 @@ class _SplitMergeCore:
         blocks = self.blocks
         if total <= 0.0 or len(blocks) == 0:
             return math.inf
-        dt = g.exponential(1.0 / total)
-        if g.random() * total < merge_rate:
+        next_u = self._next_u
+        dt = -math.log1p(-next_u()) / total
+        if next_u() * total < merge_rate:
             cum = list(accumulate(blocks))
             while True:
-                i = _first_above(cum, g.random() * cum[-1])
-                j = _first_above(cum, g.random() * cum[-1])
+                i = _first_above(cum, next_u() * cum[-1])
+                j = _first_above(cum, next_u() * cum[-1])
                 if i != j:
                     break
             vi, vj = blocks[i], blocks[j]
@@ -370,9 +381,9 @@ class _SplitMergeCore:
             self.merges += 1
         else:
             cum2 = list(accumulate(v * v for v in blocks))
-            i = _first_above(cum2, g.random() * cum2[-1])
+            i = _first_above(cum2, next_u() * cum2[-1])
             while True:
-                u = g.random()
+                u = next_u()
                 if 0.0 < u < 1.0:
                     break
             v = blocks[i]
@@ -423,12 +434,12 @@ def simulate(
     times = sorted(float(t) for t in sample_times) or [float(t_max)]
     if not all(0.0 <= t <= t_max for t in times):
         raise ValueError("sample times must lie in [0, t_max]")
-    core = _SplitMergeCore(p0.masses, theta)
+    core = _SplitMergeCore(p0.masses, theta, g)
     out: list[SplitMergeState] = []
     t = 0.0
     pending = 0
     while pending < len(times):
-        dt = core.step(g)
+        dt = core.step()
         t_next = t + dt
         while pending < len(times) and times[pending] < t_next:
             out.append(core.state(times[pending]))
@@ -447,14 +458,13 @@ def time_averaged_l2(
     """Time average of sum_i p_i^2 over (burn_in, burn_in + duration], plus the final state."""
     if not (0.0 <= burn_in < math.inf and 0.0 < duration < math.inf):
         raise ValueError("need a finite burn_in >= 0 and a finite duration > 0")
-    g = _as_generator(rng)
-    core = _SplitMergeCore(p0.masses, theta)
+    core = _SplitMergeCore(p0.masses, theta, _as_generator(rng))
     t = 0.0
     t_end = burn_in + duration
     acc = 0.0
     while t < t_end:
         s2_now = core.s2
-        dt = core.step(g)
+        dt = core.step()
         t_next = min(t + dt, t_end)
         lo = max(t, burn_in)
         if t_next > lo:
@@ -532,6 +542,8 @@ def rn_derivative_check(
     """
     if N < 1:
         raise ValueError("the check needs N >= 1")
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
     table = cached_logz(family, L, N)
     logw = table.log_w
     if logw[0] == -math.inf:

@@ -14,10 +14,11 @@ each.  The library sums every move in one batch; these are the reference it
 must match, and the reference reversibility defect walks every
 configuration with the per-block lattice generator.
 
-The last three oracles are earlier forms of hot loops, kept as the code the
+The last oracles are earlier forms of hot loops, kept as the code the
 library must reproduce bit for bit: stick-breaking that draws and fills each
 64-column block for all rows at once, the batch sampler with one cumsum and
-searchsorted per (site, remainder) group, and the split-merge event step with
+searchsorted per (site, remainder) group, the scalar sampler reading the grid
+with one ``ndarray.item`` call per term, and the split-merge event step with
 a cumsum and searchsorted over an array of the blocks on every event.
 """
 
@@ -353,21 +354,51 @@ def sample_configurations_by_group(logz: np.ndarray, logw: np.ndarray, L: int, N
     return occ
 
 
+def sample_configuration_by_item(logz: np.ndarray, log_w: np.ndarray, L: int, N: int, g) -> list[int]:
+    """Scalar canonical draw by sequential search, one ``ndarray.item`` per grid read."""
+    log_w = log_w[: N + 1].tolist()
+    occ = []
+    r = N
+    for m, u in zip(range(L, 1, -1), g.random(L - 1).tolist()):
+        rest, top = logz[m - 1], logz.item(m, r)
+        acc = 0.0
+        for n in range(r + 1):
+            acc += math.exp(log_w[n] + rest.item(r - n) - top)
+            if acc > u:
+                break
+        else:
+            while n > 0 and not math.exp(log_w[n] + rest.item(r - n) - top) > 0.0:
+                n -= 1
+        occ.append(n)
+        r -= n
+    occ.append(r)
+    return occ
+
+
 def searchsorted_pick(weights, x: float) -> int:
     """First index whose cumulative weight exceeds x, clamped to the last index."""
     cum = np.cumsum(np.asarray(weights, dtype=float))
     return min(int(np.searchsorted(cum, x, side="right")), cum.size - 1)
 
 
+def block_uniforms(g):
+    """Uniforms of g read 256 per ``Generator.random`` call, in stream order."""
+    while True:
+        block = g.random(256)
+        for k in range(block.size):
+            yield float(block[k])
+
+
 class NumpySplitMergeCore:
     """Split-merge event step over a NumPy array of the blocks.
 
-    Same rates, stream calls and mass arithmetic as the library's core: a
-    split rounds its larger piece and subtracts it from the block, a merge
-    is clamped at the initial total.
+    Same rates, uniforms and mass arithmetic as the library's core: the wait
+    is -log1p(-u) / rate, a split rounds its larger piece and subtracts it
+    from the block, a merge is clamped at the initial total.
     """
 
-    def __init__(self, masses, theta: float):
+    def __init__(self, masses, theta: float, g):
+        self.uniforms = block_uniforms(g)
         self.blocks = [float(v) for v in masses if v > 0.0]
         self.theta = float(theta)
         self.s1 = float(sum(self.blocks))
@@ -375,7 +406,8 @@ class NumpySplitMergeCore:
         self.merges = self.splits = 0
         self._events_since_refresh = 0
 
-    def step(self, g) -> float:
+    def step(self) -> float:
+        us = self.uniforms
         if self._events_since_refresh >= 4096:
             self.s2 = float(sum(v * v for v in self.blocks))
             self._events_since_refresh = 0
@@ -384,13 +416,13 @@ class NumpySplitMergeCore:
         total = merge_rate + split_rate
         if total <= 0.0 or len(self.blocks) == 0:
             return math.inf
-        dt = g.exponential(1.0 / total)
+        dt = -math.log1p(-next(us)) / total
         arr = np.asarray(self.blocks)
-        if g.random() * total < merge_rate:
+        if next(us) * total < merge_rate:
             cum = np.cumsum(arr)
             while True:
-                i = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
-                j = int(np.searchsorted(cum, g.random() * cum[-1], side="right"))
+                i = int(np.searchsorted(cum, next(us) * cum[-1], side="right"))
+                j = int(np.searchsorted(cum, next(us) * cum[-1], side="right"))
                 i = min(i, arr.size - 1)
                 j = min(j, arr.size - 1)
                 if i != j:
@@ -402,10 +434,10 @@ class NumpySplitMergeCore:
             self.merges += 1
         else:
             cum2 = np.cumsum(arr * arr)
-            i = int(np.searchsorted(cum2, g.random() * cum2[-1], side="right"))
+            i = int(np.searchsorted(cum2, next(us) * cum2[-1], side="right"))
             i = min(i, arr.size - 1)
             while True:
-                u = g.random()
+                u = next(us)
                 if 0.0 < u < 1.0:
                     break
             v = self.blocks[i]

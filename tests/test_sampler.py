@@ -25,7 +25,7 @@ from pdlab import (
     zero_fraction_stats,
 )
 
-from oracle import config_law, sample_configurations_by_group, table_weight
+from oracle import config_law, sample_configuration_by_item, sample_configurations_by_group, table_weight
 
 TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
@@ -163,6 +163,30 @@ class TestScalarPath:
             sample_configuration(t, L, N, one)
             sample_configurations(t, L, N, 1, batch)
             assert one.generator.random() == batch.generator.random()
+
+    @pytest.mark.parametrize(
+        "cell",
+        [*EDGE_CELLS.values(), (GAP, 200, 400), (INCLUSION, 100, 200)],
+        ids=[*EDGE_CELLS.keys(), "gap_200x400", "inclusion_100x200"],
+    )
+    def test_draws_equal_item_walk(self, cell):
+        # the memoryview reads the same doubles in the same order as ndarray.item
+        fam, L, N = cell
+        t = build_logz(fam, L, N)
+        for seed in range(200):
+            got, want = SeededRng(seed), SeededRng(seed)
+            occ = sample_configuration(t, L, N, got).occupations.tolist()
+            assert occ == sample_configuration_by_item(t.logz, t.log_w, L, N, want.generator)
+            assert got.generator.random() == want.generator.random()
+
+    def test_fortran_ordered_grid_gives_the_same_draws(self):
+        fam, L, N = EDGE_CELLS["gap"]
+        t = build_logz(fam, L, N)
+        f = dataclasses.replace(t, logz=np.asfortranarray(t.logz))
+        assert not f.logz.flags.c_contiguous
+        for seed in range(50):
+            want = sample_configuration(t, L, N, SeededRng(seed)).occupations
+            assert sample_configuration(f, L, N, SeededRng(seed)).occupations.tolist() == want.tolist()
 
     @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
     def test_walk_past_the_row_total_keeps_positive_weights(self, cell):

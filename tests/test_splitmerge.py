@@ -483,6 +483,19 @@ class TestSimulate:
         b = simulate(1.0, p0, 15.0, SeededRng(4), sample_times=[5.0, 15.0])
         assert [s.partition.masses for s in a] == [s.partition.masses for s in b]
 
+    @pytest.mark.parametrize("seed,stream", [(4, 0), (76, 3)])
+    def test_equal_streams_replay_equal_states(self, seed, stream):
+        # uniforms are read in whole blocks, so both runs also leave their
+        # generators at the same place
+        p0 = OrderedPartition.from_masses([0.6, 0.4])
+        a_rng, b_rng = SeededRng(seed, stream), SeededRng(seed, stream)
+        a = simulate(1.0, p0, 30.0, a_rng, sample_times=[1.0, 10.0, 30.0])
+        b = simulate(1.0, p0, 30.0, b_rng, sample_times=[1.0, 10.0, 30.0])
+        assert [(s.partition.masses, s.time, s.merges, s.splits) for s in a] == [
+            (s.partition.masses, s.time, s.merges, s.splits) for s in b
+        ]
+        assert a_rng.generator.random() == b_rng.generator.random()
+
     def test_missing_generator_rejected(self):
         p0 = OrderedPartition.from_masses([1.0])
         with pytest.raises(ValueError, match="explicit seeded generator"):
@@ -516,7 +529,7 @@ class TestSimulate:
         # every wait would be 0 and splits repeat forever: the core refuses it
         # before any loop runs (pdlab splitmerge --theta inf is tested in a subprocess)
         with pytest.raises(ValueError, match="theta must be >= 0 and finite"):
-            _SplitMergeCore([1.0], math.inf)
+            _SplitMergeCore([1.0], math.inf, SeededRng(0).generator)
 
     @pytest.mark.parametrize(
         "t_max,sample_times",
@@ -585,11 +598,11 @@ class TestEventLoop:
     @pytest.mark.parametrize("masses", [[1.0], [0.4, 0.2], [0.5, 0.25, 0.125, 0.0625]])
     def test_states_equal_numpy_step(self, theta, masses):
         for seed in range(4):
-            core, ref = _SplitMergeCore(masses, theta), NumpySplitMergeCore(masses, theta)
             g, g_ref = SeededRng(seed).generator, SeededRng(seed).generator
+            core, ref = _SplitMergeCore(masses, theta, g), NumpySplitMergeCore(masses, theta, g_ref)
             for _ in range(5_000):
-                dt = core.step(g)
-                assert dt == ref.step(g_ref)
+                dt = core.step()
+                assert dt == ref.step()
                 assert core.blocks == ref.blocks
                 if math.isinf(dt):
                     break
@@ -598,20 +611,33 @@ class TestEventLoop:
     def test_splits_keep_the_exact_total(self):
         # pieces are stored as v - (rounded larger piece): their sum is v exactly,
         # so the exactly rounded sum of all blocks never moves on a split
-        core = _SplitMergeCore([0.3, 0.1], 1.0)
-        g = SeededRng(12).generator
+        core = _SplitMergeCore([0.3, 0.1], 1.0, SeededRng(12).generator)
         for _ in range(2_000):
             before, splits = math.fsum(core.blocks), core.splits
-            core.step(g)
+            core.step()
             if core.splits > splits:
                 assert math.fsum(core.blocks) == before
 
     def test_merges_never_pass_the_total(self):
-        g = SeededRng(76).generator
-        core = _SplitMergeCore([0.4, 0.2], 1.0)
+        core = _SplitMergeCore([0.4, 0.2], 1.0, SeededRng(76).generator)
         for _ in range(20_000):
-            core.step(g)
+            core.step()
             assert max(core.blocks) <= core.s1
+
+    def test_scaled_waits_are_standard_exponential(self):
+        # dt * rate is Exp(1) whatever uniforms feed -log1p(-u); the KS distance
+        # of 20,000 scaled waits must stay inside the DKW band at delta = 1e-6
+        n, delta = 20_000, 1e-6
+        core = _SplitMergeCore([0.5, 0.25, 0.125, 0.0625], 0.5, SeededRng(31).generator)
+        scaled = np.empty(n)
+        for k in range(n):
+            total = max(core.s1 * core.s1 - core.s2, 0.0) + core.theta * core.s2
+            scaled[k] = core.step() * total
+        scaled.sort()
+        cdf = -np.expm1(-scaled)
+        ranks = np.arange(1, n + 1) / n
+        ks = max((ranks - cdf).max(), (cdf - (ranks - 1.0 / n)).max())
+        assert ks < math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
 class TestLiftedMoves:
@@ -673,6 +699,11 @@ class TestRnDerivative:
         eta = Configuration(np.array([3, 0, 2]))
         merged = lift_merge(eta, 3, 2)
         assert (merged.occupations == eta.occupations).all()
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_below_one_rejected(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            rn_derivative_check(WeightFamily.inclusion(0.5), 5, 10, samples, SeededRng(0))
 
     def test_inclusion_identity_tight(self):
         fam = WeightFamily.inclusion(0.5)
