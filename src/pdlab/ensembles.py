@@ -75,7 +75,7 @@ def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
     """
     out = np.convolve(a, b)
     peak = out.max()
-    return out / peak, log_a + log_b + math.log(peak)
+    return np.divide(out, peak, out=out), log_a + log_b + math.log(peak)
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None):
@@ -95,13 +95,13 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
 def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     """Build the full log Z grid up to (L, N).
 
-    Each row is the previous row convolved with the weight row in linear
-    space, both scaled to maximum 1.  A term below the smallest normal
-    double removes at most (N+1) * tiny from a cell, so a cell n whose scaled
-    value is below (N+1) * tiny / eps gets a log-sum-exp over k in the weight
-    support ks if reached: if n is on l * ks[0] + gcd(ks - ks[0]) * Z and in
-    the sumset of ks and the finite cells of row l - 1, taken exactly as the
-    OR of that row's finite mask, packed into an int, shifted by each k.
+    Row l is written once: the log of row l - 1 convolved with the weight
+    row in linear space, both scaled to maximum 1, plus the offsets.  A term
+    below the smallest normal double removes at most (N+1) * tiny from a
+    cell, so a cell scaled below (N+1) * tiny / eps is reset to -inf and gets
+    a log-sum-exp over k in the support ks if reached: if n is on
+    l * ks[0] + gcd(ks - ks[0]) * Z and in the sumset of ks and the finite
+    cells of row l - 1, the OR of that row's packed finite mask shifted by k.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -117,15 +117,20 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     step = int(np.gcd.reduce(ks - ks[:1])) or 1
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     for l in range(2, L + 1):
-        prev = grid[l - 1]
+        prev, row = grid[l - 1], grid[l]
         off = prev.max()
         if off == NEG_INF:
             break  # every later row is empty too
-        lin, log_scale = _scaled_convolve(np.exp(prev - off), off, w_lin, w_off)
+        # row l holds exp(prev - off) until the convolution is written over it
+        np.exp(np.subtract(prev, off, out=row), out=row)
+        lin, log_scale = _scaled_convolve(row, off, w_lin, w_off)
         lin = lin[: N + 1]
-        ok = lin >= floor
-        grid[l, ok] = np.log(lin[ok]) + log_scale
-        n = np.flatnonzero(~ok)
+        with np.errstate(divide="ignore"):  # log 0 = -inf, in a cell below the floor
+            np.add(np.log(lin, out=row), log_scale, out=row)
+        if lin.min() >= floor:
+            continue
+        n = np.flatnonzero(lin < floor)
+        row[n] = NEG_INF
         n = n[(n - l * ks[0]) % step == 0]
         if n.size:
             fin = prev > NEG_INF
@@ -141,12 +146,9 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
         if n.size:
             shift = n[:, None] - ks
             terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
-            grid[l, n] = _logsumexp(terms, axis=1)
+            row[n] = _logsumexp(terms, axis=1)
     if N > 0 and grid[L, N] == NEG_INF:
-        warnings.warn(
-            f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}",
-            stacklevel=2,
-        )
+        warnings.warn(f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}", stacklevel=2)
     grid.setflags(write=False)
     return LogZTable(family=family, L_max=L, N_max=N, logz=grid, log_w=logw)
 
@@ -177,8 +179,9 @@ def load_logz_cache(family: WeightFamily, L: int, N: int, directory) -> LogZTabl
     """The cached grid for (family, L, N), or None when it is missing or invalid.
 
     A grid is used only when its JSON sidecar names the same family digest,
-    L and N, and the array is float64 of shape (L+1, N+1) with no NaN or
-    +inf.  Anything else is a miss, so the caller rebuilds and overwrites it.
+    L and N, the array is float64 of shape (L+1, N+1) with no NaN or +inf, row
+    0 is (0, -inf, ...), row 1 the weight row exactly, and cell (L, N) the
+    recursion from row L - 1 to 1e-10.  Else the caller rebuilds and overwrites it.
     """
     key = f"logz_{family.digest()}_{L}_{N}"
     path = Path(directory) / f"{key}.npy"
@@ -187,19 +190,16 @@ def load_logz_cache(family: WeightFamily, L: int, N: int, directory) -> LogZTabl
         grid = np.load(path, allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
-    if not isinstance(meta, dict) or not isinstance(grid, np.ndarray):
-        return None
-    if (meta.get("digest"), meta.get("L"), meta.get("N")) != (family.digest(), L, N):
-        return None
-    if grid.dtype != np.float64 or grid.shape != (L + 1, N + 1):
-        return None
-    if np.isnan(grid).any() or (grid == np.inf).any():
+    logw = np.asarray(log_weight_row(family, L, N))
+    if (not isinstance(meta, dict) or not isinstance(grid, np.ndarray)
+            or (meta.get("digest"), meta.get("L"), meta.get("N")) != (family.digest(), L, N)
+            or grid.dtype != np.float64 or grid.shape != (L + 1, N + 1)
+            or np.isnan(grid).any() or (grid == np.inf).any() or grid[0, 0] != 0.0
+            or (grid[0, 1:] != NEG_INF).any() or not np.array_equal(grid[1], logw)
+            or not np.isclose(grid[L, N], _logsumexp(logw + grid[L - 1, ::-1]), rtol=1e-10, atol=1e-10)):
         return None
     grid.setflags(write=False)
-    return LogZTable(
-        family=family, L_max=L, N_max=N, logz=grid,
-        log_w=np.asarray(log_weight_row(family, L, N)),
-    )
+    return LogZTable(family=family, L_max=L, N_max=N, logz=grid, log_w=logw)
 
 
 def _check_cell(table: LogZTable, L: int, N: int) -> None:

@@ -354,19 +354,20 @@ class _SplitMergeCore:
         self.s2 = float(sum(v * v for v in self.blocks))
         self._events_since_refresh = 0
 
-    def step(self) -> float:
-        """Advance one event; returns the waiting time (inf when absorbed)."""
+    def wait(self) -> float:
+        """Draw the waiting time to the next event (inf when absorbed); ``jump`` applies it."""
         if self._events_since_refresh >= 4096:
             self._refresh()
-        merge_rate = max(self.s1 * self.s1 - self.s2, 0.0)
-        split_rate = self.theta * self.s2
-        total = merge_rate + split_rate
-        blocks = self.blocks
-        if total <= 0.0 or len(blocks) == 0:
+        self._merge_rate = max(self.s1 * self.s1 - self.s2, 0.0)
+        self._total = self._merge_rate + self.theta * self.s2
+        if self._total <= 0.0 or len(self.blocks) == 0:
             return math.inf
-        next_u = self._next_u
-        dt = -math.log1p(-next_u()) / total
-        if next_u() * total < merge_rate:
+        return -math.log1p(-self._next_u()) / self._total
+
+    def jump(self) -> None:
+        """Apply the event whose wait ``wait`` just drew."""
+        blocks, next_u = self.blocks, self._next_u
+        if next_u() * self._total < self._merge_rate:
             cum = list(accumulate(blocks))
             while True:
                 i = _first_above(cum, next_u() * cum[-1])
@@ -400,6 +401,12 @@ class _SplitMergeCore:
                 blocks.append(piece)
             self.splits += 1
         self._events_since_refresh += 1
+
+    def step(self) -> float:
+        """Advance one event; returns the waiting time (inf when absorbed)."""
+        dt = self.wait()
+        if dt < math.inf:
+            self.jump()
         return dt
 
     def state(self, t: float) -> SplitMergeState:
@@ -437,15 +444,15 @@ def simulate(
     core = _SplitMergeCore(p0.masses, theta, g)
     out: list[SplitMergeState] = []
     t = 0.0
-    pending = 0
-    while pending < len(times):
-        dt = core.step()
-        t_next = t + dt
-        while pending < len(times) and times[pending] < t_next:
-            out.append(core.state(times[pending]))
-            pending += 1
+    while True:
+        # the state holds on [t, t + dt): record it before the jump at t + dt
+        t_next = t + core.wait()
+        while len(out) < len(times) and times[len(out)] < t_next:
+            out.append(core.state(times[len(out)]))
+        if len(out) == len(times):
+            return out
+        core.jump()
         t = t_next
-    return out
 
 
 def time_averaged_l2(
@@ -462,15 +469,17 @@ def time_averaged_l2(
     t = 0.0
     t_end = burn_in + duration
     acc = 0.0
-    while t < t_end:
+    while True:
         s2_now = core.s2
-        dt = core.step()
+        dt = core.wait()
         t_next = min(t + dt, t_end)
         lo = max(t, burn_in)
         if t_next > lo:
             acc += s2_now * (t_next - lo)
         t = t + dt
-    return acc / duration, core.state(t_end)
+        if t >= t_end:  # the state at t_end is the one before the jump at t
+            return acc / duration, core.state(t_end)
+        core.jump()
 
 
 # ---------------------------------------------------------------------------

@@ -15,20 +15,26 @@ must match, and the reference reversibility defect walks every
 configuration with the per-block lattice generator.
 
 The last oracles are earlier forms of hot loops, kept as the code the
-library must reproduce bit for bit: stick-breaking that draws and fills each
-64-column block for all rows at once, the batch sampler with one cumsum and
-searchsorted per (site, remainder) group, the scalar sampler reading the grid
-with one ``ndarray.item`` call per term, and the split-merge event step with
-a cumsum and searchsorted over an array of the blocks on every event.
+library must reproduce bit for bit: the log Z build that splits each row
+into the cells above and below the floor by boolean masks, stick-breaking
+that draws and fills each 64-column block for all rows at once, the batch
+sampler with one cumsum and searchsorted per (site, remainder) group, the
+scalar sampler reading the grid with one ``ndarray.item`` call per term, and
+the split-merge event step with a cumsum and searchsorted over an array of
+the blocks on every event.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 from scipy.special import logsumexp
+
+from pdlab.ensembles import LogZTable, _logsumexp
+from pdlab.weights import log_weight_row
 
 
 def enumerate_configs(L: int, N: int):
@@ -306,6 +312,54 @@ def log_space_grid(logw: np.ndarray, L: int) -> np.ndarray:
     for l in range(2, L + 1):
         grid[l] = log_convolve_row(grid[l - 1], logw)
     return grid
+
+
+def build_logz_masked_rows(family, L: int, N: int) -> LogZTable:
+    """log Z grid with each row's kept and underflowed cells chosen by boolean masks."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if N < 0:
+        raise ValueError("N must be >= 0")
+    logw = np.asarray(log_weight_row(family, L, N))
+    grid = np.full((L + 1, N + 1), -np.inf)
+    grid[0, 0] = 0.0
+    grid[1] = logw
+    ks = np.flatnonzero(logw > -np.inf)
+    w_off = logw.max() if ks.size else 0.0
+    w_lin = np.exp(logw - w_off)
+    step = int(np.gcd.reduce(ks - ks[:1])) or 1
+    floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
+    for l in range(2, L + 1):
+        prev = grid[l - 1]
+        off = prev.max()
+        if off == -np.inf:
+            break
+        out = np.convolve(np.exp(prev - off), w_lin)
+        peak = out.max()
+        lin, log_scale = out / peak, off + w_off + math.log(peak)
+        lin = lin[: N + 1]
+        ok = lin >= floor
+        grid[l, ok] = np.log(lin[ok]) + log_scale
+        n = np.flatnonzero(~ok)
+        n = n[(n - l * ks[0]) % step == 0]
+        if n.size:
+            fin = prev > -np.inf
+            bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
+            top = int(n[-1])
+            reach = 0
+            for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
+                reach |= bits << k
+            reach &= (2 << top) - 1
+            hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
+            n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
+        if n.size:
+            shift = n[:, None] - ks
+            terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], -np.inf)
+            grid[l, n] = _logsumexp(terms, axis=1)
+    if N > 0 and grid[L, N] == -np.inf:
+        warnings.warn(f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}", stacklevel=2)
+    grid.setflags(write=False)
+    return LogZTable(family=family, L_max=L, N_max=N, logz=grid, log_w=logw)
 
 
 def stick_breaking_whole_blocks(theta: float, alpha: float, count: int, g):

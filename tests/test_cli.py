@@ -435,8 +435,15 @@ class TestZnCache:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [np.zeros((10, 10)), np.full((21, 41), np.nan), np.full((21, 41), np.inf)],
-        ids=["shape", "nan", "inf"],
+        [
+            lambda grid: np.zeros((10, 10)),
+            lambda grid: np.full((21, 41), np.nan),
+            lambda grid: np.full((21, 41), np.inf),
+            # the right shape, dtype and value range, but the wrong numbers
+            lambda grid: np.zeros((21, 41)),
+            lambda grid: np.concatenate([grid[:1], grid[1:2] + 1e-6, grid[2:]]),
+        ],
+        ids=["shape", "nan", "inf", "zeros", "row1_moved"],
     )
     def test_corrupt_cache_is_rebuilt(self, tmp_path, bulk_family, corrupt):
         out = tmp_path / "o"
@@ -444,7 +451,7 @@ class TestZnCache:
         assert run(*argv) == 0
         csv, cache = next(out.glob("zn_*.csv")), next(out.glob("logz_*.npy"))
         good_csv, good_cache = csv.read_bytes(), cache.read_bytes()
-        np.save(cache, corrupt)
+        np.save(cache, corrupt(np.load(cache)))
         assert run(*argv) == 0
         assert csv.read_bytes() == good_csv
         assert cache.read_bytes() == good_cache

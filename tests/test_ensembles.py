@@ -29,11 +29,12 @@ from pdlab import (
     zratio_diagnostic,
 )
 
-from pdlab import ensembles
+from pdlab import cli, ensembles
 from pdlab.cli import main
 from pdlab.ensembles import _tilted_terms
 
 from oracle import (
+    build_logz_masked_rows,
     bulk_tail_weight,
     inclusion_weight,
     log_space_grid,
@@ -48,6 +49,61 @@ TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
 INCLUSION05 = WeightFamily.inclusion(0.5)
 BERNOULLI = WeightFamily.from_table([0.5, 0.5])
+
+
+# the families and sizes the linear kernel is checked on
+KERNEL_FAMILIES = st.one_of(
+    st.builds(WeightFamily.inclusion, st.floats(min_value=0.05, max_value=5.0)),
+    st.builds(
+        lambda theta, bulk: WeightFamily.bulk_tail(
+            theta, len(bulk) - 1, [b / sum(bulk) for b in bulk]
+        ),
+        st.floats(min_value=0.05, max_value=5.0),
+        st.lists(
+            st.sampled_from([0.0, 1e-3, 0.25, 1.0]), min_size=1, max_size=4
+        ).filter(lambda b: max(b) > 0.0),
+    ),
+    # exact interior zeros and weights hundreds of orders of magnitude
+    # apart, which drive cells below the linear kernel's floor
+    st.builds(
+        WeightFamily.from_table,
+        st.lists(
+            st.sampled_from([0.0, 1e-250, 1e-200, 1e-3, 0.5, 1.0, 3.0])
+            | st.floats(min_value=1e-3, max_value=3.0),
+            min_size=1,
+            max_size=5,
+        ).filter(lambda w: max(w) > 0.0),
+    ),
+)
+KERNEL_EXAMPLES = [
+    (WeightFamily.from_table([1.0, 0.0, 1.0]), 12, 30),
+    (WeightFamily.from_table([1e-200, 1.0]), 12, 30),
+    (WeightFamily.from_table([1.0, 1e-250, 1e-250, 1.0]), 12, 30),
+    # support {1, 3}: row l lies on l + 2Z, and its lowest cells underflow
+    (WeightFamily.from_table([0.0, 1e-200, 0.0, 1.0]), 12, 30),
+    # w(0) = 0: the cells below n = l are outside the sumset of row l - 1 and the support
+    (WeightFamily.bulk_tail(1.0, 1, [0.0, 1.0]), 12, 30),
+    # even support whose top cell n = 2l underflows
+    (WeightFamily.from_table([1.0, 0.0, 1e-200]), 12, 30),
+    # support {0} and the run [4, 5]: the hole 1..3 stays empty, and in row 2
+    # the cells 8 and 10 underflow and are reached only through 4 + 4 and 5 + 5
+    (WeightFamily.from_table([1.0, 0.0, 0.0, 0.0, 1e-200, 1e-200]), 12, 30),
+    # support {0, 7, 9, 11, 13}: many runs of one point, a hole below them, and
+    # underflowing terms, so most cells below the floor are decided by the sumset
+    (WeightFamily.from_table([1.0] + [0.0] * 6 + [1e-200, 0.0] * 4), 12, 30),
+    # N = 2 ks[-1]: in row 2 the only cell below the floor is n = 0, reached
+    # only by the largest shift the bound allows, k = n - (first finite cell) = 0
+    (WeightFamily.from_table([1e-200, 1.0, 1.0]), 12, 4),
+]
+
+
+def kernel_cases(test):
+    """Run test(self, family, L, N) on KERNEL_FAMILIES at L <= 12, N <= 30 and on KERNEL_EXAMPLES."""
+    for case in KERNEL_EXAMPLES:
+        test = example(*case)(test)
+    test = settings(max_examples=80, deadline=None)(test)
+    sizes = (st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=30))
+    return given(KERNEL_FAMILIES, *sizes)(test)
 
 
 class TestBuildLogZ:
@@ -137,52 +193,7 @@ class TestBuildLogZ:
         ref = log_space_grid(t.log_w, 6)
         assert np.allclose(t.logz, ref, rtol=1e-14, atol=0.0)
 
-    @given(
-        st.one_of(
-            st.builds(WeightFamily.inclusion, st.floats(min_value=0.05, max_value=5.0)),
-            st.builds(
-                lambda theta, bulk: WeightFamily.bulk_tail(
-                    theta, len(bulk) - 1, [b / sum(bulk) for b in bulk]
-                ),
-                st.floats(min_value=0.05, max_value=5.0),
-                st.lists(
-                    st.sampled_from([0.0, 1e-3, 0.25, 1.0]), min_size=1, max_size=4
-                ).filter(lambda b: max(b) > 0.0),
-            ),
-            # exact interior zeros and weights hundreds of orders of magnitude
-            # apart, which drive cells below the linear kernel's floor
-            st.builds(
-                WeightFamily.from_table,
-                st.lists(
-                    st.sampled_from([0.0, 1e-250, 1e-200, 1e-3, 0.5, 1.0, 3.0])
-                    | st.floats(min_value=1e-3, max_value=3.0),
-                    min_size=1,
-                    max_size=5,
-                ).filter(lambda w: max(w) > 0.0),
-            ),
-        ),
-        st.integers(min_value=1, max_value=12),
-        st.integers(min_value=0, max_value=30),
-    )
-    @example(WeightFamily.from_table([1.0, 0.0, 1.0]), 12, 30)
-    @example(WeightFamily.from_table([1e-200, 1.0]), 12, 30)
-    @example(WeightFamily.from_table([1.0, 1e-250, 1e-250, 1.0]), 12, 30)
-    # support {1, 3}: row l lies on l + 2Z, and its lowest cells underflow
-    @example(WeightFamily.from_table([0.0, 1e-200, 0.0, 1.0]), 12, 30)
-    # w(0) = 0: the cells below n = l are outside the sumset of row l - 1 and the support
-    @example(WeightFamily.bulk_tail(1.0, 1, [0.0, 1.0]), 12, 30)
-    # even support whose top cell n = 2l underflows
-    @example(WeightFamily.from_table([1.0, 0.0, 1e-200]), 12, 30)
-    # support {0} and the run [4, 5]: the hole 1..3 stays empty, and in row 2
-    # the cells 8 and 10 underflow and are reached only through 4 + 4 and 5 + 5
-    @example(WeightFamily.from_table([1.0, 0.0, 0.0, 0.0, 1e-200, 1e-200]), 12, 30)
-    # support {0, 7, 9, 11, 13}: many runs of one point, a hole below them, and
-    # underflowing terms, so most cells below the floor are decided by the sumset
-    @example(WeightFamily.from_table([1.0] + [0.0] * 6 + [1e-200, 0.0] * 4), 12, 30)
-    # N = 2 ks[-1]: in row 2 the only cell below the floor is n = 0, reached
-    # only by the largest shift the bound allows, k = n - (first finite cell) = 0
-    @example(WeightFamily.from_table([1e-200, 1.0, 1.0]), 12, 4)
-    @settings(max_examples=80, deadline=None)
+    @kernel_cases
     def test_linear_kernel_matches_log_space_oracle(self, family, L, N):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
@@ -622,3 +633,64 @@ class TestPowerConvolve:
         spans = csv_bytes("spans")
         monkeypatch.setattr(ensembles, "_power_convolve", full_power_convolve)
         assert spans == csv_bytes("full")
+
+
+class TestMaskedRows:
+    """build_logz, which writes each row once, against the boolean-mask loop it replaced."""
+
+    @kernel_cases
+    def test_grids_equal_bit_for_bit(self, family, L, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got, want = build_logz(family, L, N), build_logz_masked_rows(family, L, N)
+        assert same_bits(got.logz, want.logz) and same_bits(got.log_w, want.log_w)
+
+    @pytest.mark.parametrize(
+        "family,L,N",
+        [
+            (BULK, 400, 800),
+            (BULK, 512, 128),
+            (GAP, 200, 400),
+            (TABLE111, 100, 200),
+            (WeightFamily.from_table([1e-200, 1.0]), 400, 800),
+            (WeightFamily.from_table([1.0] + [0.0] * 399 + [1.0] * 401), 400, 800),
+        ],
+        ids=["bulk_400x800", "bulk_512x128", "gap_200x400", "table111_100x200",
+             "tiny_400x800", "hole_400x800"],
+    )
+    def test_large_grids_equal_bit_for_bit(self, family, L, N):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # [1e-200, 1] reaches no N > L
+            got, want = build_logz(family, L, N), build_logz_masked_rows(family, L, N)
+        assert same_bits(got.logz, want.logz)
+
+    def test_cli_output_unchanged(self, tmp_path, monkeypatch):
+        specs = {
+            "bulk": {"kind": "bulk_tail", "theta": 1.0, "A": 1, "bulk": [0.5, 0.5]},
+            "gap": {"kind": "bulk_tail", "theta": 1.0, "A": 2, "bulk": [0.5, 0.0, 0.5]},
+            "table111": {"kind": "table", "weights": [1.0, 1.0, 1.0]},
+        }
+        runs = [
+            ("bulk", "zn", ["zn", "--L", "200", "--N", "400"], "zn_L200_N400.csv"),
+            ("bulk", "zn", ["zn", "--L", "200", "--N", "400"], "zn_L200_N400.csv"),  # warm: from the cache
+            ("bulk", "condense", ["condense", "--rho", "2", "--theta", "1", "--sizes", "50,100,200"], "condense.csv"),
+            ("bulk", "ensembles", ["ensembles", "--rho", "0.25", "--sizes", "32,128,512"], "ensembles.csv"),
+            ("gap", "zn", ["zn", "--L", "200", "--N", "400"], "zn_L200_N400.csv"),
+            ("table111", "zn", ["zn", "--L", "200", "--N", "400"], "zn_L200_N400.csv"),
+        ]
+        for name, spec in specs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+
+        def outputs(tag):
+            out = []
+            for name, command, argv, result in runs:
+                dest = tmp_path / tag / name / command
+                assert main(["--family", str(tmp_path / f"{name}.json"), "--out", str(dest), *argv]) == 0
+                out.append((dest / result).read_bytes())
+            out += [path.read_bytes() for path in sorted((tmp_path / tag).rglob("logz_*.npy"))]
+            return out
+
+        once = outputs("once")
+        monkeypatch.setattr(ensembles, "build_logz", build_logz_masked_rows)
+        monkeypatch.setattr(cli, "build_logz", build_logz_masked_rows)
+        assert once == outputs("masked")

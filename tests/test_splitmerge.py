@@ -34,6 +34,7 @@ from pdlab import (
     simulate,
     split,
     stick_breaking,
+    stick_breaking_batch,
     time_averaged_l2,
 )
 from pdlab import splitmerge
@@ -495,6 +496,34 @@ class TestSimulate:
             (s.partition.masses, s.time, s.merges, s.splits) for s in b
         ]
         assert a_rng.generator.random() == b_rng.generator.random()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0])
+    def test_end_state_is_the_one_before_the_next_event(self, theta):
+        # step the NumPy reference until its clock passes t = 5: the blocks
+        # before that event are the state at t = 5 of both loops
+        masses = [0.5, 0.25, 0.125, 0.0625]
+        ref = NumpySplitMergeCore(masses, theta, SeededRng(9).generator)
+        t, before = 0.0, OrderedPartition.from_masses(masses)
+        while (t := t + ref.step()) < 5.0:
+            before = OrderedPartition.from_masses(ref.blocks)
+        p0 = OrderedPartition.from_masses(masses)
+        state = simulate(theta, p0, 5.0, SeededRng(9), sample_times=[5.0])[0]
+        _, end = time_averaged_l2(theta, p0, 0.0, 5.0, SeededRng(9))
+        assert state.partition.masses == end.partition.masses == before.masses
+        assert state.merges + state.splits == end.merges + end.splits == ref.merges + ref.splits - 1
+
+    def test_records_the_state_at_each_sample_time(self):
+        # PD(0.5) is stationary, so the state at t = 0.5 has mean sum p^2 = 2/3.
+        # At theta != 1 the total rate depends on the state: the state after the
+        # next event, recorded in its place, reads 0.638 here (z = -18)
+        rng = SeededRng(1)
+        pieces, _ = stick_breaking_batch(0.5, 1.0, 20_000, rng.generator)
+        l2 = np.empty(len(pieces))
+        for r, row in enumerate(pieces):
+            state = simulate(0.5, OrderedPartition.from_masses(row), 0.5, rng, sample_times=[0.5])[0]
+            l2[r] = math.fsum(v * v for v in state.partition.masses)
+        se = l2.std(ddof=1) / math.sqrt(l2.size)
+        assert abs(l2.mean() - 2.0 / 3.0) < 5 * se
 
     def test_missing_generator_rejected(self):
         p0 = OrderedPartition.from_masses([1.0])
