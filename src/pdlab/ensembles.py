@@ -62,20 +62,21 @@ class LogZTable:
         return 1 <= L <= self.L_max and 0 <= N <= self.N_max
 
 
-def _scaled_convolve(a: np.ndarray, log_a: float, b: np.ndarray, log_b: float):
-    """Linear convolution of exp(log_a) * a and exp(log_b) * b as (vector, log offset).
+def _scaled_convolve(a: np.ndarray, log_a: float, b_rev: np.ndarray, log_b: float):
+    """Convolution of exp(log_a) * a and exp(log_b) * b as (vector, log offset, peak index).
 
-    The vector is rescaled to peak 1, positive as each input holds a 1 or is a
-    pmf.  All terms are nonnegative, so every cell is exact to a relative error
-    of its length times the rounding unit, as long as no term underflows.
-    ``build_logz`` passes full rows on purpose: row l of a grid can end in
-    cells that are exactly 0 (for the table [1, 1, 1] every cell past 2l), and
-    cutting them off shifts where each cell's dot product starts, which
-    changes the last bits of grid cells (12 of the 100 x 200 [1, 1, 1] grid).
+    The vector's peak cell is exactly 1.  b comes reversed: ``np.correlate(a,
+    b_rev)`` runs the dot products of ``np.convolve(a, b)``, longer operand
+    first, so a fixed b is reversed once.  All terms are nonnegative, so every
+    cell is exact to a relative error of its length times the rounding unit
+    unless a term underflows.  Zero tails stay: cutting them moves where each
+    dot product starts, and so last bits (12 cells of the 100 x 200 [1, 1, 1] grid).
     """
-    out = np.convolve(a, b)
-    peak = out.max()
-    return np.divide(out, peak, out=out), log_a + log_b + math.log(peak)
+    if a.size < b_rev.size:
+        a, b_rev = b_rev[::-1], a[::-1]
+    out = np.correlate(a, b_rev, "full")
+    peak = out[at := int(out.argmax())]
+    return np.divide(out, peak, out=out), log_a + log_b + math.log(peak), at
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None):
@@ -93,15 +94,14 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
 
 
 def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
-    """Build the full log Z grid up to (L, N).
+    """The full log Z grid up to (L, N), each row l written once.
 
-    Row l is written once: the log of row l - 1 convolved with the weight
-    row in linear space, both scaled to maximum 1, plus the offsets.  A term
-    below the smallest normal double removes at most (N+1) * tiny from a
-    cell, so a cell scaled below (N+1) * tiny / eps is reset to -inf and gets
-    a log-sum-exp over k in the support ks if reached: if n is on
-    l * ks[0] + gcd(ks - ks[0]) * Z and in the sumset of ks and the finite
-    cells of row l - 1, the OR of that row's packed finite mask shifted by k.
+    Row l is the log of row l - 1 convolved with the weight row in linear space,
+    both scaled to maximum 1, plus the offsets, whose sum is the row's maximum when
+    the convolution peaks at n <= N.  A term below the smallest normal double removes
+    at most (N+1) * tiny from a cell, so a cell scaled below (N+1) * tiny / eps is
+    reset to -inf and, if n <= l * max(ks), n is on l * ks[0] + gcd(ks - ks[0]) * Z
+    and in the sumset of ks and row l - 1's finite cells, gets a log-sum-exp over ks.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -113,40 +113,43 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     grid[1] = logw
     ks = np.flatnonzero(logw > NEG_INF)
     w_off = logw.max() if ks.size else 0.0
-    w_lin = np.exp(logw - w_off)
+    w_rev = np.exp(logw[::-1] - w_off)
     step = int(np.gcd.reduce(ks - ks[:1])) or 1
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
-    for l in range(2, L + 1):
-        prev, row = grid[l - 1], grid[l]
-        off = prev.max()
-        if off == NEG_INF:
-            break  # every later row is empty too
-        # row l holds exp(prev - off) until the convolution is written over it
-        np.exp(np.subtract(prev, off, out=row), out=row)
-        lin, log_scale = _scaled_convolve(row, off, w_lin, w_off)
-        lin = lin[: N + 1]
-        with np.errstate(divide="ignore"):  # log 0 = -inf, in a cell below the floor
+    off = grid[1].max()  # not w_off: a weight row of -inf leaves every later row empty
+    with np.errstate(divide="ignore"):  # log 0 = -inf, in a cell below the floor
+        for l in range(2, L + 1):
+            if off == NEG_INF:
+                break  # every later row is empty too
+            prev, row = grid[l - 1], grid[l]
+            # row l holds exp(prev - off) until the convolution is written over it
+            np.exp(np.subtract(prev, off, out=row), out=row)
+            lin, log_scale, at = _scaled_convolve(row, off, w_rev, w_off)
+            lin = lin[: N + 1]
             np.add(np.log(lin, out=row), log_scale, out=row)
-        if lin.min() >= floor:
-            continue
-        n = np.flatnonzero(lin < floor)
-        row[n] = NEG_INF
-        n = n[(n - l * ks[0]) % step == 0]
-        if n.size:
-            fin = prev > NEG_INF
-            bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
-            top = int(n[-1])
-            reach = 0
-            # a shift past top minus the first finite cell reaches no cell <= top
-            for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
-                reach |= bits << k
-            reach &= (2 << top) - 1
-            hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
-            n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
-        if n.size:
-            shift = n[:, None] - ks
-            terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
-            row[n] = _logsumexp(terms, axis=1)
+            if lin.min() >= floor:
+                off = log_scale if at <= N else row.max()
+                continue
+            n = np.flatnonzero(lin < floor)
+            row[n] = NEG_INF
+            # row l - 1 is finite only up to (l - 1) * max(ks): no shift reaches past l * max(ks)
+            n = n[(n <= l * ks[-1]) & ((n - l * ks[0]) % step == 0)]
+            if n.size:
+                fin = prev > NEG_INF
+                bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
+                top = int(n[-1])
+                reach = 0
+                # a shift past top minus the first finite cell reaches no cell <= top
+                for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
+                    reach |= bits << k
+                reach &= (2 << top) - 1
+                hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
+                n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
+            if n.size:
+                shift = n[:, None] - ks
+                terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
+                row[n] = _logsumexp(terms, axis=1)
+            off = row.max()
     if N > 0 and grid[L, N] == NEG_INF:
         warnings.warn(f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}", stacklevel=2)
     grid.setflags(write=False)
@@ -422,27 +425,24 @@ def _power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:
 
     Each fold convolves its operands only up to their last nonzero cell: past
     it the folded laws hold cells that underflowed to exactly 0 (87% of the
-    last squaring's operands for bulk_tail at L = 512), which add nothing to
-    any sum.  Every cell is still a sum of the same nonnegative products, so
-    the bound of ``_scaled_convolve`` holds with the span length in place of
-    the full one.  Leading zeros (w(0) = 0) are kept: dropping them shifts
-    where each cell's dot product starts, which changes the rounding of cells
-    near the peak.  The result has the full length L * (p.size - 1) + 1.
+    last squaring's operands for bulk_tail at L = 512).  Every cell still sums
+    the same nonnegative products, so the bound of ``_scaled_convolve`` holds
+    with the span length.  Leading zeros (w(0) = 0) are kept: dropping them
+    moves where each dot product starts, and so the rounding near the peak.
+    The result has the full length L * (p.size - 1) + 1.
     """
     result, log_result = np.array([1.0]), 0.0
     base, log_base = _nonzero_head(p), 0.0
     k = L
     while k:
         if k & 1:
-            result, log_result = _scaled_convolve(result, log_result, base, log_base)
+            result, log_result, _ = _scaled_convolve(result, log_result, base[::-1], log_base)
             result = _nonzero_head(result)
         k >>= 1
         if k:
-            base, log_base = _scaled_convolve(base, log_base, base, log_base)
+            base, log_base, _ = _scaled_convolve(base, log_base, base[::-1], log_base)
             base = _nonzero_head(base)
-    out = np.zeros(L * (p.size - 1) + 1)
-    out[: result.size] = result
-    return out, log_result
+    return np.pad(result, (0, L * (p.size - 1) + 1 - result.size)), log_result
 
 
 def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> float:

@@ -29,6 +29,9 @@ LATTICE_TOL = 1e-9
 ROW_BATCH = 512
 MC_CHUNK = 20_000  # canonical draws per chunk of an mc defect; equal sorted rows share one h
 UNIFORM_BLOCK = 256  # uniforms per Generator call in the event loop
+# events times blocks one event loop may run: each event scans the block list,
+# so this bounds its time; checked every 4096 events, with the s2 refresh
+EVENT_WORK_CAP = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +336,9 @@ class _SplitMergeCore:
     The direct method of Gillespie: the wait is -log1p(-u) / rate, and picks
     invert running sums of the Python block list by binary search.  Every
     uniform comes from a ``_uniforms`` block of g, so no event makes a NumPy
-    call and g advances by whole blocks.
+    call and g advances by whole blocks.  Past EVENT_WORK_CAP events times
+    blocks, ``wait`` raises FloatingPointError: a split rate so large that
+    every wait rounds to ~0 never lets the clock reach its end.
     """
 
     def __init__(self, masses, theta: float, g: np.random.Generator):
@@ -349,9 +354,17 @@ class _SplitMergeCore:
         self.merges = 0
         self.splits = 0
         self._events_since_refresh = 0
+        self._work = 0
 
     def _refresh(self):
         self.s2 = float(sum(v * v for v in self.blocks))
+        self._work += self._events_since_refresh * len(self.blocks)
+        if self._work > EVENT_WORK_CAP:
+            raise FloatingPointError(
+                f"the split-merge event loop passed EVENT_WORK_CAP = {EVENT_WORK_CAP} events x blocks "
+                f"({self.merges + self.splits} events, {len(self.blocks)} blocks) before its end time "
+                f"at theta = {self.theta:g}; a smaller theta or end time needs less"
+            )
         self._events_since_refresh = 0
 
     def wait(self) -> float:

@@ -516,6 +516,19 @@ class TestNonFiniteInput:
         assert "theta must be >= 0 and finite" in proc.stderr
         assert not out.exists()
 
+    def test_huge_theta_in_splitmerge_is_numeric_error(self, tmp_path):
+        # theta = 1e300 makes every wait about 1e-300 while each split adds a
+        # block: the loop stops at EVENT_WORK_CAP events x blocks, exit 3
+        src = Path(__file__).resolve().parents[1] / "src"
+        out = tmp_path / "o"
+        script = "import sys; from pdlab.cli import main; sys.exit(main(sys.argv[1:]))"
+        argv = ["--out", str(out), "splitmerge", "--theta", "1e300", "--t-max", "5", "--records", "2"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "EVENT_WORK_CAP" in json.loads(proc.stderr)["message"]
+        assert not out.exists()
+
     def test_nan_theta_in_condense_is_config_error(self, tmp_path, bulk_family):
         out = tmp_path / "o"
         code = run("--family", bulk_family, "--out", str(out), "condense",

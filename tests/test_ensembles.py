@@ -193,6 +193,8 @@ class TestBuildLogZ:
         ref = log_space_grid(t.log_w, 6)
         assert np.allclose(t.logz, ref, rtol=1e-14, atol=0.0)
 
+    # w(0) = 0 and N = 0: the weight row is all -inf, so the build must stop after row 1
+    @example(WeightFamily.bulk_tail(1.0, 1, [0.0, 1.0]), 2, 0)
     @kernel_cases
     def test_linear_kernel_matches_log_space_oracle(self, family, L, N):
         with warnings.catch_warnings():
@@ -663,6 +665,28 @@ class TestMaskedRows:
             warnings.simplefilter("ignore", UserWarning)  # [1e-200, 1] reaches no N > L
             got, want = build_logz(family, L, N), build_logz_masked_rows(family, L, N)
         assert same_bits(got.logz, want.logz)
+
+    def test_rows_peaking_past_n(self):
+        # weights rising to n = 2: from l = 6 on, row l's full convolution peaks
+        # near 2l > N, so the row's maximum is a reduction, not the offset
+        family, L, N = WeightFamily.from_table([1.0, 2.0, 4.0]), 20, 10
+        got, want = build_logz(family, L, N), build_logz_masked_rows(family, L, N)
+        assert same_bits(got.logz, want.logz)
+        w = np.exp(got.log_w - got.log_w.max())
+        peaks = [int(np.argmax(np.convolve(np.exp(row - row.max()), w))) for row in got.logz[1:L]]
+        assert max(peaks) > N
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1e-200]])
+    def test_cells_above_l_max_ks(self, weights):
+        # row l is -inf past 2l; those cells are dropped before the sumset test,
+        # and with w(2) = 1e-200 the cell 2l itself underflows and is repaired
+        family, L, N = WeightFamily.from_table(weights), 12, 40
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # Z_{12,40} = 0
+            got, want = build_logz(family, L, N), build_logz_masked_rows(family, L, N)
+        assert same_bits(got.logz, want.logz)
+        for l in range(1, L + 1):
+            assert np.isfinite(got.logz[l, 2 * l]) and np.isneginf(got.logz[l, 2 * l + 1:]).all()
 
     def test_cli_output_unchanged(self, tmp_path, monkeypatch):
         specs = {
