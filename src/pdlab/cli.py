@@ -6,8 +6,8 @@ joined by newlines (a line each, or a block of lines) after two header lines,
 or a ``.json`` payload as ``{"config", "result"}``.
 Both record the run configuration and the library version, so a rerun with
 the same arguments reproduces every file byte for byte.  θ must be finite.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure (JSON
-message on stderr).
+Exit codes: 0 success, 2 configuration error (an I/O error on the family file
+or on --out included), 3 numeric failure (JSON message on stderr).
 """
 
 from __future__ import annotations
@@ -264,37 +264,37 @@ def main(argv=None) -> int:
         family = _load_family(args.family) if args.family else None
         if family is None and args.command != "splitmerge":
             raise ConfigError("--family is required for this command")
-    except (ValueError, KeyError) as exc:  # a json.JSONDecodeError is a ValueError
+    except (ValueError, KeyError, OSError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"pdlab: config error: {exc}", file=sys.stderr)
         return 2
     try:
         files = _COMMANDS[args.command](args, family)
+        config = {
+            "version": __version__,
+            "command": args.command,
+            "family": family.to_json_dict() if family else None,
+            "seed": args.seed,
+            "options": {
+                k: v
+                for k, v in sorted(vars(args).items())
+                if k not in ("command", "family", "seed", "out") and v is not None
+            },
+        }
+        header = f"# pdlab {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, body in files.items():
+            if name.endswith(".json"):
+                text = json.dumps({"config": config, "result": body}, sort_keys=True, indent=2) + "\n"
+            else:
+                text = header + "\n".join(body) + "\n"
+            (out / name).write_text(text)
     except (OutOfDomainError, SupercriticalDensityError, FloatingPointError) as exc:
         print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
         return 3
-    except ValueError as exc:  # ConfigError included
+    except (ValueError, OSError) as exc:  # ConfigError included; OSError: --out or the cache in it
         print(f"pdlab: config error: {exc}", file=sys.stderr)
         return 2
-    config = {
-        "version": __version__,
-        "command": args.command,
-        "family": family.to_json_dict() if family else None,
-        "seed": args.seed,
-        "options": {
-            k: v
-            for k, v in sorted(vars(args).items())
-            if k not in ("command", "family", "seed", "out") and v is not None
-        },
-    }
-    header = f"# pdlab {__version__}\n# config: {json.dumps(config, sort_keys=True)}\n"
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, body in files.items():
-        if name.endswith(".json"):
-            text = json.dumps({"config": config, "result": body}, sort_keys=True, indent=2) + "\n"
-        else:
-            text = header + "\n".join(body) + "\n"
-        (out / name).write_text(text)
     return 0
 
 

@@ -10,7 +10,6 @@ tilted single-site laws.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -100,8 +99,8 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     both scaled to maximum 1, plus the offsets, whose sum is the row's maximum when
     the convolution peaks at n <= N.  A term below the smallest normal double removes
     at most (N+1) * tiny from a cell, so a cell scaled below (N+1) * tiny / eps is
-    reset to -inf and, if n <= l * max(ks), n is on l * ks[0] + gcd(ks - ks[0]) * Z
-    and in the sumset of ks and row l - 1's finite cells, gets a log-sum-exp over ks.
+    reset to -inf and, if n <= l * max(ks) lies in the sumset of ks and row l - 1's
+    finite cells, gets a log-sum-exp over ks.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -114,7 +113,6 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     ks = np.flatnonzero(logw > NEG_INF)
     w_off = logw.max() if ks.size else 0.0
     w_rev = np.exp(logw[::-1] - w_off)
-    step = int(np.gcd.reduce(ks - ks[:1])) or 1
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     off = grid[1].max()  # not w_off: a weight row of -inf leaves every later row empty
     with np.errstate(divide="ignore"):  # log 0 = -inf, in a cell below the floor
@@ -133,7 +131,7 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
             n = np.flatnonzero(lin < floor)
             row[n] = NEG_INF
             # row l - 1 is finite only up to (l - 1) * max(ks): no shift reaches past l * max(ks)
-            n = n[(n <= l * ks[-1]) & ((n - l * ks[0]) % step == 0)]
+            n = n[n <= l * ks[-1]]
             if n.size:
                 fin = prev > NEG_INF
                 bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
@@ -163,39 +161,26 @@ def cached_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
 
 
 def save_logz_cache(table: LogZTable, directory) -> Path:
-    """Binary cache keyed by (family digest, L, N); plain .npy plus a JSON sidecar."""
-    directory = Path(directory)
-    key = f"logz_{table.family.digest()}_{table.L_max}_{table.N_max}"
-    path = directory / f"{key}.npy"
+    """Write the grid as ``logz_<family digest>_<L>_<N>.npy`` in directory; return its path."""
+    path = Path(directory) / f"logz_{table.family.digest()}_{table.L_max}_{table.N_max}.npy"
     np.save(path, np.asarray(table.logz), allow_pickle=False)
-    meta = {
-        "family": table.family.to_json_dict(),
-        "digest": table.family.digest(),
-        "L": table.L_max,
-        "N": table.N_max,
-    }
-    (directory / f"{key}.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 
 def load_logz_cache(family: WeightFamily, L: int, N: int, directory) -> LogZTable | None:
-    """The cached grid for (family, L, N), or None when it is missing or invalid.
+    """The grid save_logz_cache wrote for (family, L, N), or None when it is missing or invalid.
 
-    A grid is used only when its JSON sidecar names the same family digest,
-    L and N, the array is float64 of shape (L+1, N+1) with no NaN or +inf, row
-    0 is (0, -inf, ...), row 1 the weight row exactly, and cell (L, N) the
-    recursion from row L - 1 to 1e-10.  Else the caller rebuilds and overwrites it.
+    A grid depends only on w_L(0..N), L and N, so it is used only when it is float64
+    of shape (L+1, N+1) with no NaN or +inf, row 0 is (0, -inf, ...), row 1 the weight
+    row exactly, and cell (L, N) the recursion from row L - 1 to 1e-10.  Else the
+    caller rebuilds and overwrites it.
     """
-    key = f"logz_{family.digest()}_{L}_{N}"
-    path = Path(directory) / f"{key}.npy"
     try:
-        meta = json.loads((Path(directory) / f"{key}.json").read_text())
-        grid = np.load(path, allow_pickle=False)
+        grid = np.load(Path(directory) / f"logz_{family.digest()}_{L}_{N}.npy", allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
     logw = np.asarray(log_weight_row(family, L, N))
-    if (not isinstance(meta, dict) or not isinstance(grid, np.ndarray)
-            or (meta.get("digest"), meta.get("L"), meta.get("N")) != (family.digest(), L, N)
+    if (not isinstance(grid, np.ndarray)
             or grid.dtype != np.float64 or grid.shape != (L + 1, N + 1)
             or np.isnan(grid).any() or (grid == np.inf).any() or grid[0, 0] != 0.0
             or (grid[0, 1:] != NEG_INF).any() or not np.array_equal(grid[1], logw)
@@ -228,10 +213,9 @@ def single_site_marginal(table: LogZTable, L: int, N: int, n: int) -> float:
 
 def size_biased_marginals(table: LogZTable, L: int, N: int) -> np.ndarray:
     """Exact law of the occupation on the site of a uniformly chosen particle."""
-    _check_cell(table, L, N)
+    probs = single_site_marginals(table, L, N)
     if N < 1:
         raise ValueError("size-biased marginal needs N >= 1")
-    probs = single_site_marginals(table, L, N)
     n = np.arange(N + 1, dtype=float)
     return (L / N) * n * probs
 

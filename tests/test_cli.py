@@ -69,6 +69,24 @@ class TestWritePath:
         assert run("--family", bulk_family, "--out", str(out), *argv) == code
         assert list(out.glob("*")) == []
 
+    @pytest.mark.parametrize("argv", [
+        ["zn", "--L", "5", "--N", "7"],
+        ["condense", "--rho", "2", "--theta", "1", "--sizes", "10"],
+    ], ids=["zn", "condense"])
+    def test_out_that_is_a_file_is_config_error(self, tmp_path, bulk_family, capsys, argv):
+        # zn fails creating the cache directory, condense creating the result directory
+        out = tmp_path / "o"
+        out.write_text("kept\n")
+        assert run("--family", bulk_family, "--out", str(out), *argv) == 2
+        assert "config error" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    def test_family_that_is_a_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("--family", str(tmp_path), "--out", str(out), "zn", "--L", "5", "--N", "7") == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestZn:
     def test_writes_cache_and_csv(self, tmp_path, bulk_family):
@@ -412,7 +430,6 @@ class TestZnCache:
         assert cache.stat().st_mtime_ns == stamp  # not rebuilt
 
     def test_cache_round_trip(self, tmp_path, bulk_family):
-        from pdlab import WeightFamily, build_logz
         from pdlab.cli import load_logz_cache, save_logz_cache
 
         fam = WeightFamily.from_json(bulk_family)
@@ -420,18 +437,47 @@ class TestZnCache:
         save_logz_cache(table, tmp_path)
         again = load_logz_cache(fam, 6, 9, tmp_path)
         assert again is not None
-        assert np.allclose(again.logz, table.logz, equal_nan=True)
+        assert again.logz.tobytes() == table.logz.tobytes()
         assert not again.logz.flags.writeable
         assert load_logz_cache(WeightFamily.inclusion(1.0), 6, 9, tmp_path) is None
 
-    def test_missing_sidecar_is_a_miss(self, tmp_path, bulk_family):
-        from pdlab import WeightFamily, build_logz
+    def test_grid_file_alone_is_a_hit(self, tmp_path, bulk_family):
         from pdlab.cli import load_logz_cache, save_logz_cache
 
-        fam = WeightFamily.from_json(bulk_family)
-        save_logz_cache(build_logz(fam, 6, 9), tmp_path)
-        next(tmp_path.glob("logz_*.json")).unlink()
+        fam, cache = WeightFamily.from_json(bulk_family), tmp_path / "cache"
+        cache.mkdir()
+        table = build_logz(fam, 6, 9)
+        path = save_logz_cache(table, cache)
+        assert list(cache.iterdir()) == [path]
+        # a sidecar left by an older version is not read
+        path.with_suffix(".json").write_text("not json")
+        again = load_logz_cache(fam, 6, 9, cache)
+        assert again is not None and again.logz.tobytes() == table.logz.tobytes()
+
+    def test_other_familys_grid_is_a_miss(self, tmp_path, bulk_family):
+        from dataclasses import replace
+        from pdlab.cli import load_logz_cache, save_logz_cache
+
+        fam, other = WeightFamily.from_json(bulk_family), WeightFamily.inclusion(1.0)
+        grid = build_logz(other, 6, 9)
+        assert not np.array_equal(grid.logz[1], build_logz(fam, 6, 9).logz[1])
+        save_logz_cache(replace(grid, family=fam), tmp_path)
         assert load_logz_cache(fam, 6, 9, tmp_path) is None
+
+    def test_equal_weight_rows_share_a_grid(self, tmp_path):
+        # the digests differ, the weight rows do not, so neither do the grids:
+        # a check of the digest beyond the file name could only refuse a right grid
+        from dataclasses import replace
+        from pdlab.cli import load_logz_cache, save_logz_cache
+
+        short, padded = WeightFamily.from_table([1, 1, 1]), WeightFamily.from_table([1, 1, 1, 0, 0])
+        assert short.digest() != padded.digest()
+        for fam, other in [(short, padded), (padded, short)]:
+            want, theirs = build_logz(fam, 6, 9), build_logz(other, 6, 9)
+            assert np.array_equal(want.log_w, theirs.log_w)
+            save_logz_cache(replace(theirs, family=fam), tmp_path)
+            got = load_logz_cache(fam, 6, 9, tmp_path)
+            assert got is not None and got.logz.tobytes() == want.logz.tobytes()
 
     @pytest.mark.parametrize(
         "corrupt",

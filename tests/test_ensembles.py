@@ -656,9 +656,13 @@ class TestMaskedRows:
             (TABLE111, 100, 200),
             (WeightFamily.from_table([1e-200, 1.0]), 400, 800),
             (WeightFamily.from_table([1.0] + [0.0] * 399 + [1.0] * 401), 400, 800),
+            # row l is finite on the even cells up to 2l, and from 2l to 4l: every
+            # other cell is an exact zero that the sumset test must leave at -inf
+            (WeightFamily.from_table([1.0, 0.0, 1.0]), 400, 800),
+            (WeightFamily.from_table([0.0, 0.0, 1.0, 0.0, 1.0]), 200, 400),
         ],
         ids=["bulk_400x800", "bulk_512x128", "gap_200x400", "table111_100x200",
-             "tiny_400x800", "hole_400x800"],
+             "tiny_400x800", "hole_400x800", "table101_400x800", "table00101_200x400"],
     )
     def test_large_grids_equal_bit_for_bit(self, family, L, N):
         with warnings.catch_warnings():
