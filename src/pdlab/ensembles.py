@@ -404,44 +404,126 @@ def _nonzero_head(a: np.ndarray) -> np.ndarray:
     return a[: np.flatnonzero(a)[-1] + 1]
 
 
-def _power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:
+def _chernoff_horizon(p: np.ndarray, L: int, log_tail: float) -> int:
+    """A horizon H with P[X_1 + ... + X_L >= H] <= exp(log_tail) for X_i drawn from p.
+
+    By Chernoff the probability is at most exp(L log E e^(tX) - tH) for every
+    t > 0, so each t gives a valid horizon (L log E e^(tX) - log_tail) / t.  The
+    smallest over a grid of t around the Gaussian optimum is taken, plus a cell
+    to spare.  Draws are nonnegative, so the bound holds for any m <= L draws.
+    """
+    if log_tail >= 0.0:
+        return 0
+    k = np.arange(p.size, dtype=float)
+    var = float(np.dot((k - np.dot(k, p)) ** 2, p))
+    t = math.sqrt(-2.0 * log_tail / (L * var)) if var > 0.0 else 1.0
+    t *= 2.0 ** (np.arange(-32, 33) / 4.0)
+    with np.errstate(divide="ignore"):  # log 0 = -inf in a cell where p is 0
+        logp = np.log(p)
+    rows = max(1, 2**16 // p.size)  # about 64k terms at a time
+    log_mgf = np.concatenate(
+        [_logsumexp(logp + t[i : i + rows, None] * k, axis=1) for i in range(0, t.size, rows)]
+    )
+    return math.ceil(float(np.min((L * log_mgf - log_tail) / t))) + 1
+
+
+def _window_fold(x: tuple, y: tuple, H: int) -> tuple | None:
+    """One fold of ``_power_convolve`` on operands (cells, log scale, whole), or None.
+
+    A whole operand holds its span, the full fold's cells up to the last nonzero
+    one; any other holds the first H cells of a span at least H long.  Cell
+    k < H of ``np.correlate(a, b[::-1], "full")`` is one dot product over
+    a[:k + 1] and b[:k + 1] if both are longer than k, and over b and a[k - len(b)
+    + 1:k + 1] if b is the shorter one and ends before k: the same dot products
+    as on the spans, in the same order if the operand with the longer span comes
+    first, as ``_scaled_convolve`` puts it.  None when the window cannot tell
+    that order, or whether the result's span ends before H.
+    """
+    (a, log_a, a_whole), (b, log_b, b_whole) = x, y
+    if x is not y and not (a_whole and b_whole):
+        if a_whole and a.size < H:  # b's span is longer
+            a, log_a, b, log_b = b, log_b, a, log_a
+        elif not b_whole:
+            return None
+    out, log_out, _ = _scaled_convolve(a, log_a, b[::-1], log_b)
+    if a_whole and b_whole:  # the full fold's result
+        out = _nonzero_head(out)
+        return (out, log_out, True) if out.size <= H else (out[:H], log_out, False)
+    if out[H - 1] == 0.0:
+        return None  # the span may end before H, or go on past a zero there
+    return out[:H], log_out, False
+
+
+def _window_folds(p: np.ndarray, L: int, H: int) -> tuple | None:
+    """The first cells of the L-fold law of p (a nonzero head) and its log scale, or None.
+
+    Every operand is cut to its first H cells; the cells are the full folds' up
+    to the result's span or H, whichever ends first.  None when a fold fails.
+    """
+    result, base = (np.array([1.0]), 0.0, True), (p[:H], 0.0, p.size <= H)
+    k = L
+    while True:
+        if k & 1 and (result := _window_fold(result, base, H)) is None:
+            return None
+        k >>= 1
+        if not k:
+            return result[:2]
+        if (base := _window_fold(base, base, H)) is None:
+            return None
+
+
+def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[np.ndarray, float]:
     """L-fold convolution of a pmf by binary exponentiation with per-fold rescaling.
 
-    Each fold convolves its operands only up to their last nonzero cell: past
-    it the folded laws hold cells that underflowed to exactly 0 (87% of the
-    last squaring's operands for bulk_tail at L = 512).  Every cell still sums
-    the same nonnegative products, so the bound of ``_scaled_convolve`` holds
-    with the span length.  Leading zeros (w(0) = 0) are kept: dropping them
-    moves where each dot product starts, and so the rounding near the peak.
-    The result has the full length L * (p.size - 1) + 1.
+    Returns the first H cells of the law, scaled to peak 1, and its log scale;
+    H is the full length L * (p.size - 1) + 1 when horizon is None.  Each fold
+    convolves its operands only up to their last nonzero cell: past it the
+    folded laws hold cells that underflowed to exactly 0.  Every cell still
+    sums the same nonnegative products, so the bound of ``_scaled_convolve``
+    holds with the span length.  Leading zeros (w(0) = 0) are kept: dropping
+    them moves where each dot product starts, and so the rounding near the peak.
+
+    With a horizon, each fold also cuts its operands to their first H >= horizon
+    cells, and the H cells returned are bit for bit the full folds' (see
+    ``_window_fold``).  That needs each fold's peak, by which it is scaled,
+    below H: H is at least the Chernoff horizon past which every partial fold
+    holds at most 2^-64 of the smallest peak a law on L * n + 1 cells can have.
+    Where a fold cannot prove its order, or where its span ends, the window
+    would have to hold the partial result's whole span, so the folds run again
+    at the full length.
     """
-    result, log_result = np.array([1.0]), 0.0
-    base, log_base = _nonzero_head(p), 0.0
-    k = L
-    while k:
-        if k & 1:
-            result, log_result, _ = _scaled_convolve(result, log_result, base[::-1], log_base)
-            result = _nonzero_head(result)
-        k >>= 1
-        if k:
-            base, log_base, _ = _scaled_convolve(base, log_base, base[::-1], log_base)
-            base = _nonzero_head(base)
-    return np.pad(result, (0, L * (p.size - 1) + 1 - result.size)), log_result
+    size = L * (p.size - 1) + 1
+    p = _nonzero_head(p)
+    H = size
+    if horizon is not None:
+        span = L * (p.size - 1) + 1
+        H = min(size, max(horizon, _chernoff_horizon(p, L, -64 * math.log(2) - math.log(span))))
+    if H == size or (folded := _window_folds(p, L, H)) is None:
+        H, folded = size, _window_folds(p, L, size)
+    cells, log_scale = folded
+    return np.pad(cells, (0, H - cells.size)), log_scale
 
 
 def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> float:
     """Per-site relative-entropy bound -(1/L) log P[sum of L tilted draws = N].
 
     The sum's law is computed exactly by L-fold convolution of the truncated
-    single-site law (log scale carried through the folds).  A numerically
-    vanishing probability is reported as +inf.
+    single-site law (log scale carried through the folds), on its first N + 1
+    cells at least.  A vanishing probability is reported as +inf, with a
+    warning that tells an N past the support L * n_trunc from an underflow.
     """
     gc = grand_canonical_stats(family, L, phi)
-    p = gc.pmf()
-    vec, log_scale = _power_convolve(p, L)
-    if N >= vec.size or vec[N] <= 0.0:
+    if N > L * gc.n_trunc:
         warnings.warn(
-            f"P[S_{L} = {N}] underflowed to zero (support up to {vec.size - 1}, "
+            f"P[S_{L} = {N}] is zero: N lies past the support, which ends at "
+            f"L * n_trunc = {L * gc.n_trunc} (truncation at n = {gc.n_trunc})",
+            stacklevel=2,
+        )
+        return math.inf
+    vec, log_scale = _power_convolve(gc.pmf(), L, N + 1)
+    if vec[N] <= 0.0:
+        warnings.warn(
+            f"P[S_{L} = {N}] underflowed to zero (support up to {L * gc.n_trunc}, "
             f"truncation at n = {gc.n_trunc})",
             stacklevel=2,
         )
@@ -492,11 +574,25 @@ def local_clt_report(family: WeightFamily, L: int) -> DiagnosticsReport:
     b_l = math.sqrt(L * gc.variance)
     q_l = L * float(np.minimum(nu[:-1], nu[1:]).sum())
 
-    vec, log_scale = _power_convolve(nu, L)
-    pmf = vec * math.exp(log_scale)
-    n = np.arange(pmf.size, dtype=float)
-    gauss = np.exp(-0.5 * ((n - a_l) / b_l) ** 2) / math.sqrt(2 * math.pi)
-    sup_err = float(np.max(np.abs(b_l * pmf - gauss)))
+    def gauss(n):
+        return np.exp(-0.5 * ((n - a_l) / b_l) ** 2) / math.sqrt(2 * math.pi)
+
+    # the sup over the first H cells is the sup over all once no cell from H on
+    # can reach it: b_L P[S_L >= H] by Chernoff, and the Gaussian past its
+    # centre, at most its value at H
+    size, H = L * (nu.size - 1) + 1, 0
+    while True:
+        vec, log_scale = _power_convolve(nu, L, H)
+        pmf = vec * math.exp(log_scale)
+        sup_err = float(np.max(np.abs(b_l * pmf - gauss(np.arange(pmf.size, dtype=float)))))
+        H = pmf.size
+        if H == size or (
+            H > a_l
+            and 2 * gauss(H) < sup_err
+            and _chernoff_horizon(nu, L, math.log(sup_err / (2 * b_l))) <= H
+        ):
+            break
+        H = 2 * H
 
     report.add("a_L", a_l)
     report.add("b_L", b_l)

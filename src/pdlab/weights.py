@@ -251,8 +251,9 @@ def assumption_report(
     sup_n [w(n-1) ^ w(n)] of the limiting weights with their unit shift, and a
     scan of (1/L) log w_L(aL) for a in {0.25, 0.5, 1.0}.
     """
-    if eps * N < 1:
-        raise ValueError("eps * N must be at least 1 (empty supremum range)")
+    # lo below is ceil(eps N - 1e-9), at most N when eps N <= N + 1e-9; NaN fails every test
+    if not (math.isfinite(eps) and 1 <= eps * N <= N + 1e-9):
+        raise ValueError("eps must be finite with 1 <= eps * N and ceil(eps * N) <= N (empty supremum range)")
     if J < 0:
         raise ValueError("J must be >= 0")
     span = max(N, int(math.ceil(L)))

@@ -21,7 +21,8 @@ that draws and fills each 64-column block for all rows at once, the batch
 sampler with one cumsum and searchsorted per (site, remainder) group, the
 scalar sampler reading the grid with one ``ndarray.item`` call per term, and
 the split-merge event step with a cumsum and searchsorted over an array of
-the blocks on every event.
+the blocks on every event, and the L-fold convolution that folds every
+operand's whole span.
 """
 
 from __future__ import annotations
@@ -508,3 +509,31 @@ class NumpySplitMergeCore:
             self.splits += 1
         self._events_since_refresh += 1
         return dt
+
+
+def span_power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:
+    """L-fold convolution of p folding each operand up to its last nonzero cell.
+
+    Binary exponentiation; each fold correlates the longer span with the
+    reversed shorter one, the left operand first on a tie, and scales its
+    result to peak 1.  Returns the full length L * (p.size - 1) + 1.
+    """
+
+    def fold(a, log_a, b, log_b):
+        if a.size < b.size:
+            a, b = b, a
+        out = np.correlate(a, b[::-1], "full")
+        peak = out[int(out.argmax())]
+        out = out / peak
+        return out[: np.flatnonzero(out)[-1] + 1], log_a + log_b + math.log(peak)
+
+    result, log_result = np.array([1.0]), 0.0
+    base, log_base = p[: np.flatnonzero(p)[-1] + 1], 0.0
+    k = L
+    while k:
+        if k & 1:
+            result, log_result = fold(result, log_result, base, log_base)
+        k >>= 1
+        if k:
+            base, log_base = fold(base, log_base, base, log_base)
+    return np.pad(result, (0, L * (p.size - 1) + 1 - result.size)), log_result

@@ -393,13 +393,26 @@ class TestEnsembles:
         assert not (out / "ensembles.csv").exists()
 
 
+    def test_phi_zero_reports_n_past_the_support(self, tmp_path, bulk_family):
+        # phi = 0 tilts to a point mass at 0, so S_4 = 0 and N = 1 lies past its support
+        out = tmp_path / "o"
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code = run("--family", bulk_family, "--out", str(out), "ensembles",
+                       "--rho", "0.25", "--sizes", "4", "--phi", "0")
+        assert code == 0
+        messages = [str(w.message) for w in seen]
+        assert "P[S_4 = 1] is zero: N lies past the support, which ends at L * n_trunc = 0" in " ".join(messages)
+        assert not [m for m in messages if "underflow" in m]
+        assert "entropy_bound,4,1,0.0,inf" in (out / "ensembles.csv").read_text()
+
     def test_unreachable_total_exits_2_before_any_fold(self, tmp_path, monkeypatch, capsys):
         # table [0,1,1]: every site holds >= 1, so no configuration of 8 sites carries N = 2
         family = tmp_path / "t011.json"
         family.write_text(json.dumps({"kind": "table", "weights": [0, 1, 1]}))
         folds = []
         fold = ensembles._power_convolve
-        monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L: folds.append(L) or fold(p, L))
+        monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, horizon=None: folds.append(L) or fold(p, L, horizon))
         out = tmp_path / "o"
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
@@ -606,6 +619,16 @@ class TestAssumptions:
         labels = {row["label"] for row in doc["result"]["series"]}
         assert "tail_sup_beyond_J" in labels
         assert doc["config"]["version"]
+
+    @pytest.mark.parametrize("eps", ["inf", "nan", "2"])
+    def test_eps_without_a_supremum_range_is_config_error(self, tmp_path, bulk_family, eps, capsys):
+        # inf and nan have no ceil(eps N); at eps = 2 the range ceil(eps N)..N is empty
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "assumptions",
+                   "--L", "4", "--N", "8", "--eps", eps)
+        assert code == 2
+        assert "empty supremum range" in capsys.readouterr().err
+        assert not (out / "assumptions.json").exists()
 
     def test_negative_J_is_config_error(self, tmp_path, bulk_family):
         out = tmp_path / "o"

@@ -42,6 +42,7 @@ from oracle import (
     partition_function,
     site_marginal,
     size_biased_law,
+    span_power_convolve,
     table_weight,
 )
 
@@ -414,9 +415,28 @@ class TestRelativeEntropy:
         assert vals[0] > vals[1] > vals[2]
 
     def test_unreachable_mass_reports_inf(self):
+        # two sites of at most one particle each carry at most 2: nothing underflowed
         fam = WeightFamily.from_table([1.0, 1.0])
-        with pytest.warns(UserWarning, match="underflow"):
+        with pytest.warns(UserWarning, match="past the support, which ends at L \\* n_trunc = 2") as seen:
             assert relative_entropy_bound(fam, 2, 40, 1.0) == math.inf
+        assert not [w for w in seen if "underflow" in str(w.message)]
+
+    def test_underflowed_mass_reports_inf(self):
+        # P[S_1100 = 1100] = 2^-1100 lies inside the support and below the smallest double
+        with pytest.warns(UserWarning, match=r"P\[S_1100 = 1100\] underflowed to zero \(support up to 1100") as seen:
+            assert relative_entropy_bound(BERNOULLI, 1100, 1100, 1.0) == math.inf
+        assert not [w for w in seen if "past the support" in str(w.message)]
+
+    @pytest.mark.parametrize("L,N,phi", [(512, 900, 0.5), (256, 2000, 0.9), (100, 400, 0.3)])
+    def test_mass_past_the_first_horizon(self, L, N, phi):
+        # N + 1 lies past the peak horizon, so the window is widened to reach N
+        p = grand_canonical_stats(BULK, L, phi).pmf()
+        horizon = ensembles._chernoff_horizon(p, L, -64 * math.log(2) - math.log(L * (p.size - 1) + 1))
+        assert N >= horizon
+        vec, log_scale = span_power_convolve(p, L)
+        assert vec[N] > 0.0
+        want = -(math.log(vec[N]) + log_scale) / L
+        assert same_bits(relative_entropy_bound(BULK, L, N, phi), want)
 
 
 class TestTvDistance:
@@ -587,6 +607,9 @@ def full_power_convolve(p, L):
 
 
 GAP = WeightFamily.bulk_tail(1.0, 2, [0.5, 0.0, 0.5])
+FOLD_FAMILIES = [BULK, GAP, INCLUSION05, WeightFamily.from_table([0.0, 1.0, 1.0]),
+                 WeightFamily.from_table([1.0]), BERNOULLI]
+FOLD_IDS = ["bulk_tail", "gap", "inclusion", "table011", "point", "bernoulli"]
 
 
 class TestPowerConvolve:
@@ -594,7 +617,8 @@ class TestPowerConvolve:
 
     At the flatter tilts of relative_entropy_bound a few cells above 1e-250 of
     the peak can also move by an ulp or two (bulk_tail at L = 333, rho = 0.25);
-    test_cli_output_unchanged pins what that path reports.
+    test_cli_output_unchanged pins what that path reports.  The folds on a
+    horizon must equal the span-only folds kept in oracle.py bit for bit.
     """
 
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 100, 333, 512])
@@ -615,6 +639,36 @@ class TestPowerConvolve:
         assert np.array_equal(got[big], want[big])
         assert (np.abs(got - want) <= 4 * np.spacing(np.maximum(got, want))).all()
 
+    @pytest.mark.parametrize("tilt", ["phi_L", 0.3, 0.9])
+    @pytest.mark.parametrize("family", FOLD_FAMILIES, ids=FOLD_IDS)
+    def test_window_equals_span_folds(self, family, tilt):
+        # bit for bit on the cells returned, log scale included, at every size; at
+        # phi = 0.3, bulk_tail and inclusion at L = 255, 511 and 1023 put the partial
+        # result first in nine multiplications, its span tied with the base's
+        for L in [*range(1, 71), 127, 128, 129, 255, 256, 511, 512, 1023, 1024, 2048]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # phi_L clipped below 1 for the tables
+                phi = phi_sequence(family, L) if tilt == "phi_L" else tilt
+            p = grand_canonical_stats(family, L, phi).pmf()
+            want, log_want = span_power_convolve(p, L)
+            got, log_got = ensembles._power_convolve(p, L, 0)
+            assert 1 <= got.size <= want.size and same_bits(log_got, log_want), L
+            assert same_bits(got, want[: got.size]), L
+            if L < 1000:  # no horizon: the full length, by the same folds
+                got, log_got = ensembles._power_convolve(p, L)
+                assert same_bits(got, want) and same_bits(log_got, log_want), L
+
+    @pytest.mark.parametrize("L", [2, 7, 64, 100, 333, 512, 1024])
+    @pytest.mark.parametrize("family", FOLD_FAMILIES, ids=FOLD_IDS)
+    def test_local_clt_report_equals_full_folds(self, family, L, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = local_clt_report(family, L)
+            monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, horizon=None: span_power_convolve(p, L))
+            want = local_clt_report(family, L)
+        assert got.labels() == want.labels()
+        assert same_bits(np.array([got.value(k) for k in got.labels()]), np.array([want.value(k) for k in want.labels()]))
+
     def test_cli_output_unchanged(self, tmp_path, monkeypatch):
         families = {
             "bulk": ({"kind": "bulk_tail", "theta": 1.0, "A": 1, "bulk": [0.5, 0.5]}, "0.25", "32,128,512"),
@@ -633,7 +687,7 @@ class TestPowerConvolve:
             return out
 
         spans = csv_bytes("spans")
-        monkeypatch.setattr(ensembles, "_power_convolve", full_power_convolve)
+        monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, horizon=None: full_power_convolve(p, L))
         assert spans == csv_bytes("full")
 
 
