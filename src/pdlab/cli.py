@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import count
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +39,10 @@ from .sampler import SeededRng, sample_configurations
 from .splitmerge import FUNCTION_LIBRARY, reversibility_defect, simulate
 from .partitions import OrderedPartition, norms
 from .weights import WeightFamily, assumption_report
+
+
+# rows of draws sorted at a time for partitions.csv: a 1024 x L copy and its lists
+PARTITION_CHUNK = 1024
 
 
 class ConfigError(ValueError):
@@ -74,25 +79,37 @@ def cmd_sample(args, family: WeightFamily) -> dict:
     if args.count < 1:
         raise ConfigError("--count must be >= 1")
     table = build_logz(family, args.L, args.N)
-    rng = SeededRng(args.seed)
-    rows = sample_configurations(table, args.L, args.N, args.count, rng).tolist()
+    occ = sample_configurations(table, args.L, args.N, args.count, SeededRng(args.seed))
     names = [str(n) for n in range(args.N + 1)]
-    files = {"configurations.txt": [" ".join([names[n] for n in row]) for row in rows]}
+    files = {"configurations.txt": [" ".join([names[n] for n in row]) for row in occ.tolist()]}
     if args.partitions:
-        # every row sums to N (sample_configurations checks it), so each mass is
-        # n / N, and Python's n / N is the same double as NumPy's division
-        masses = [repr(n / max(args.N, 1)) for n in range(args.N + 1)]
-        ranks = [f",{r}," for r in range(args.L + 1)]
-        # one string per sample, its lines joined: a string per line would cost
-        # ~50 bytes of object header each, 13 MB at 10,000 draws of 50 sites
-        blocks = ["sample,rank,mass"]
-        for s, row in enumerate(rows):
-            row.sort(reverse=True)
-            if row[0]:
-                head = str(s)
-                blocks.append("\n".join([head + ranks[r] + masses[n] for r, n in enumerate(row, start=1) if n]))
-        files["partitions.csv"] = blocks
+        files["partitions.csv"] = _partition_blocks(occ, args.N)
     return files
+
+
+def _partition_blocks(occ: np.ndarray, N: int) -> list[str]:
+    """partitions.csv below its comment lines: the column names, then one string per sample, its lines joined.
+
+    A string per line would cost ~50 bytes of object header each, 13 MB at
+    10,000 draws of 50 sites.  Rows are sorted PARTITION_CHUNK at a time, so
+    the sorted copy and its lists stay small too.  Line r of sample s is
+    s + suffix[r][n], with suffix[r][n] = ",r,mass"; the r-th largest entry
+    of a row of sum N is at most N // r, so the suffix table holds about
+    N (1 + ln L) strings.
+    """
+    # every row sums to N (sample_configurations checks it), so each mass is
+    # n / N, and Python's n / N is the same double as NumPy's division
+    masses = [repr(n / max(N, 1)) for n in range(N + 1)]
+    suffixes = [[f",{r},{masses[n]}" for n in range(N // r + 1)] for r in range(1, min(occ.shape[1], N) + 1)]
+    blocks = ["sample,rank,mass"]
+    for start in range(0, occ.shape[0], PARTITION_CHUNK):
+        rows = np.sort(occ[start : start + PARTITION_CHUNK], axis=1)[:, ::-1]
+        sizes = np.count_nonzero(rows, axis=1).tolist()
+        for s, row, k in zip(count(start), rows.tolist(), sizes):
+            if k:
+                head = str(s)
+                blocks.append(head + ("\n" + head).join(map(list.__getitem__, suffixes, row[:k])))
+    return blocks
 
 
 def cmd_splitmerge(args, family: WeightFamily | None) -> dict:

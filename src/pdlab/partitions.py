@@ -13,6 +13,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import lt
 
 import numpy as np
 
@@ -31,19 +32,22 @@ class OrderedPartition:
 
     def __post_init__(self):
         m = self.masses
-        if not all(0.0 <= x <= 1.0 + TOTAL_SLACK for x in m):
+        if not m:
+            return
+        # min and max may pass over a NaN, which makes the sum NaN
+        if not (0.0 <= min(m) and max(m) <= 1.0 + TOTAL_SLACK and (total := sum(m)) == total):
             raise ValueError("masses must lie in [0, 1]")
-        if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
+        if any(map(lt, m, m[1:])):
             raise ValueError("masses must be nonincreasing")
-        if m and m[-1] == 0.0:
+        if m[-1] == 0.0:
             raise ValueError("trailing zeros must be trimmed (use from_masses)")
-        if sum(m) > 1.0 + TOTAL_SLACK:
+        if total > 1.0 + TOTAL_SLACK:
             raise ValueError("total mass exceeds 1")
 
     @classmethod
     def from_masses(cls, values) -> "OrderedPartition":
-        vals = sorted((float(v) for v in values if v != 0.0), reverse=True)
-        return cls(tuple(vals))
+        # float() first, so that None or a string is refused as before; 0.0 and -0.0 are falsy
+        return cls(tuple(sorted(filter(None, map(float, values)), reverse=True)))
 
     @property
     def total(self) -> float:

@@ -58,7 +58,7 @@ class Configuration:
         occ = np.asarray(self.occupations, dtype=np.int64)
         if occ.ndim != 1 or occ.size < 1:
             raise ValueError("a configuration needs at least one site")
-        if (occ < 0).any():
+        if occ.min() < 0:
             raise ValueError("occupations must be nonnegative")
         occ.setflags(write=False)
         object.__setattr__(self, "occupations", occ)
@@ -109,7 +109,7 @@ def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration
         occ.append(n)
         r -= n
     occ.append(r)
-    occ = np.array(occ, dtype=np.int64)
+    occ = np.fromiter(occ, np.int64, L)
     _check_draws(table, occ, N)
     return Configuration(occ)
 
@@ -176,9 +176,15 @@ def _check_draws(table: LogZTable, occ: np.ndarray, N: int) -> None:
     The last site takes whatever mass is left, so a grid that disagrees with
     its weight row (corrupt, or off by rounding) can hand it an impossible
     occupation.  An explicit check, unlike an assert, also runs under -O.
+    One draw gathers its L weights; a batch tests its rows against the
+    zero-weight mask of w(0..N), a byte per entry instead of a double.
     """
-    zero_weight = np.isneginf(table.log_w[: N + 1])
-    if (occ.sum(axis=-1) != N).any() or (zero_weight.any() and zero_weight[occ].any()):
+    if occ.ndim == 1:
+        refused = occ.sum() != N or table.log_w[occ].min() == -np.inf
+    else:
+        zero_weight = np.isneginf(table.log_w[: N + 1])
+        refused = (occ.sum(axis=1) != N).any() or (zero_weight.any() and zero_weight[occ].any())
+    if refused:
         raise FloatingPointError(
             f"a draw at N = {N} misses the total or holds a zero-weight occupation; "
             "the log Z grid disagrees with its weight row"
@@ -203,7 +209,8 @@ def to_partition(eta: Configuration) -> OrderedPartition:
     if eta.N == 0:
         warnings.warn("empty configuration maps to the empty partition", stacklevel=2)
         return OrderedPartition.from_masses([])
-    return OrderedPartition.from_masses((eta.occupations / eta.N).tolist())
+    occ = eta.occupations
+    return OrderedPartition.from_masses((occ[occ > 0] / eta.N).tolist())
 
 
 def zero_fraction_stats(table: LogZTable, L: int, N: int) -> DiagnosticsReport:

@@ -11,15 +11,17 @@ for the convergence and reversibility diagnostics.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat
+from operator import mul
 
 import numpy as np
 
 from .ensembles import _check_cell, cached_logz
-from .partitions import OrderedPartition, _as_generator, _first_above
+from .partitions import OrderedPartition, _as_generator
 from .report import DiagnosticsReport
 from .sampler import Configuration, sample_configurations
 from .weights import WeightFamily
@@ -325,101 +327,122 @@ class SplitMergeState:
 
 
 def _uniforms(g: np.random.Generator):
-    """Endless uniforms on [0, 1) from g, UNIFORM_BLOCK per Generator call."""
-    while True:
-        yield from g.random(UNIFORM_BLOCK).tolist()
+    """The ``__next__`` of endless uniforms on [0, 1) from g, UNIFORM_BLOCK per Generator call."""
+    return chain.from_iterable(map(np.ndarray.tolist, map(g.random, repeat(UNIFORM_BLOCK)))).__next__
 
 
 class _SplitMergeCore:
-    """Mutable block list with the running split/merge event kernel.
+    """Block list, event counts and running s2 of one split-merge chain.
 
-    The direct method of Gillespie: the wait is -log1p(-u) / rate, and picks
-    invert running sums of the Python block list by binary search.  Every
-    uniform comes from a ``_uniforms`` block of g, so no event makes a NumPy
-    call and g advances by whole blocks.  Past EVENT_WORK_CAP events times
-    blocks, ``wait`` raises FloatingPointError: a split rate so large that
-    every wait rounds to ~0 never lets the clock reach its end.
+    ``events`` is its event loop, the direct method of Gillespie: the wait is
+    -log1p(-u) / rate, and picks invert running sums of the Python block list
+    by binary search.  Every uniform comes from a ``_uniforms`` block of g, so
+    no event makes a NumPy call and g advances by whole blocks.  Past
+    EVENT_WORK_CAP events times blocks, the loop raises FloatingPointError: a
+    split rate so large that every wait rounds to ~0 never lets the clock
+    reach its end.
     """
 
     def __init__(self, masses, theta: float, g: np.random.Generator):
         if not 0.0 <= theta < math.inf:
             raise ValueError("theta must be >= 0 and finite")
-        self._next_u = _uniforms(g).__next__
+        self._next_u = _uniforms(g)
         self.blocks = [float(v) for v in masses if v > 0.0]
         self.theta = float(theta)
         self.s1 = float(sum(self.blocks))
         if not 0.0 < self.s1 <= 1.0 + 1e-12:
             raise ValueError("initial mass must lie in (0, 1]")
-        self.s2 = float(sum(v * v for v in self.blocks))
+        self.s2 = float(sum(map(mul, self.blocks, self.blocks)))
         self.merges = 0
         self.splits = 0
-        self._events_since_refresh = 0
-        self._work = 0
+        self._stepper = None
 
-    def _refresh(self):
-        self.s2 = float(sum(v * v for v in self.blocks))
-        self._work += self._events_since_refresh * len(self.blocks)
-        if self._work > EVENT_WORK_CAP:
-            raise FloatingPointError(
-                f"the split-merge event loop passed EVENT_WORK_CAP = {EVENT_WORK_CAP} events x blocks "
-                f"({self.merges + self.splits} events, {len(self.blocks)} blocks) before its end time "
-                f"at theta = {self.theta:g}; a smaller theta or end time needs less"
-            )
-        self._events_since_refresh = 0
+    def events(self):
+        """The event loop: yield the wait to the next event (inf when absorbed), apply its jump when resumed.
 
-    def wait(self) -> float:
-        """Draw the waiting time to the next event (inf when absorbed); ``jump`` applies it."""
-        if self._events_since_refresh >= 4096:
-            self._refresh()
-        self._merge_rate = max(self.s1 * self.s1 - self.s2, 0.0)
-        self._total = self._merge_rate + self.theta * self.s2
-        if self._total <= 0.0 or len(self.blocks) == 0:
-            return math.inf
-        return -math.log1p(-self._next_u()) / self._total
-
-    def jump(self) -> None:
-        """Apply the event whose wait ``wait`` just drew."""
-        blocks, next_u = self.blocks, self._next_u
-        if next_u() * self._total < self._merge_rate:
-            cum = list(accumulate(blocks))
-            while True:
-                i = _first_above(cum, next_u() * cum[-1])
-                j = _first_above(cum, next_u() * cum[-1])
-                if i != j:
-                    break
-            vi, vj = blocks[i], blocks[j]
-            self.s2 += 2.0 * vi * vj
-            # a rounded sum may pass the total; no block may hold more than all of it
-            blocks[i] = min(vi + vj, self.s1)
-            del blocks[j]
-            self.merges += 1
-        else:
-            cum2 = list(accumulate(v * v for v in blocks))
-            i = _first_above(cum2, next_u() * cum2[-1])
-            while True:
-                u = next_u()
-                if 0.0 < u < 1.0:
-                    break
-            v = blocks[i]
-            self.s2 -= 2.0 * u * (1.0 - u) * v * v
-            # round the larger piece, subtract it from v exactly (Sterbenz): the pieces sum to v
-            if u >= 0.5:
-                stay = u * v
-                piece = v - stay
+        While the loop is parked at a wait, ``blocks``, ``merges``, ``splits``
+        and ``s2`` describe the state before that event; ``s2`` is the value
+        the last jump left, before the refresh every 4096 events recomputes
+        it.  Resumed by ``send(True)``, the loop parks once more after the
+        jump, which is how ``step`` stops there.  A core runs one loop.
+        """
+        blocks, next_u, theta, s1 = self.blocks, self._next_u, self.theta, self.s1
+        s1_sq, s2 = s1 * s1, self.s2
+        since_refresh = work = 0
+        while True:
+            if since_refresh >= 4096:
+                s2 = float(sum(map(mul, blocks, blocks)))
+                work += since_refresh * len(blocks)
+                if work > EVENT_WORK_CAP:
+                    raise FloatingPointError(
+                        f"the split-merge event loop passed EVENT_WORK_CAP = {EVENT_WORK_CAP} events x blocks "
+                        f"({self.merges + self.splits} events, {len(blocks)} blocks) before its end time "
+                        f"at theta = {theta:g}; a smaller theta or end time needs less"
+                    )
+                since_refresh = 0
+            merge_rate = s1_sq - s2
+            if merge_rate < 0.0:
+                merge_rate = 0.0
+            total = merge_rate + theta * s2
+            if total <= 0.0 or not blocks:
+                yield math.inf
+                continue
+            park = yield -math.log1p(-next_u()) / total
+            last = len(blocks) - 1
+            if next_u() * total < merge_rate:
+                cum = list(accumulate(blocks))
+                mass = cum[-1]
+                while True:
+                    # the first running sum above the target, clamped to the last block
+                    i = bisect_right(cum, next_u() * mass)
+                    j = bisect_right(cum, next_u() * mass)
+                    if i > last:
+                        i = last
+                    if j > last:
+                        j = last
+                    if i != j:
+                        break
+                vi, vj = blocks[i], blocks[j]
+                s2 += 2.0 * vi * vj
+                # a rounded sum may pass the total; no block may hold more than all of it
+                merged = vi + vj
+                blocks[i] = s1 if s1 < merged else merged
+                del blocks[j]
+                self.merges += 1
             else:
-                piece = (1.0 - u) * v
-                stay = v - piece
-            blocks[i] = stay
-            if piece > 0.0:
-                blocks.append(piece)
-            self.splits += 1
-        self._events_since_refresh += 1
+                cum2 = list(accumulate(map(mul, blocks, blocks)))
+                i = bisect_right(cum2, next_u() * cum2[-1])
+                if i > last:
+                    i = last
+                while True:
+                    u = next_u()
+                    if 0.0 < u < 1.0:
+                        break
+                v = blocks[i]
+                s2 -= 2.0 * u * (1.0 - u) * v * v
+                # round the larger piece, subtract it from v exactly (Sterbenz): the pieces sum to v
+                if u >= 0.5:
+                    stay = u * v
+                    piece = v - stay
+                else:
+                    piece = (1.0 - u) * v
+                    stay = v - piece
+                blocks[i] = stay
+                if piece > 0.0:
+                    blocks.append(piece)
+                self.splits += 1
+            self.s2 = s2
+            since_refresh += 1
+            if park:
+                yield
 
     def step(self) -> float:
         """Advance one event; returns the waiting time (inf when absorbed)."""
-        dt = self.wait()
+        if self._stepper is None:
+            self._stepper = self.events()
+        dt = next(self._stepper)
         if dt < math.inf:
-            self.jump()
+            self._stepper.send(True)
         return dt
 
     def state(self, t: float) -> SplitMergeState:
@@ -457,15 +480,15 @@ def simulate(
     core = _SplitMergeCore(p0.masses, theta, g)
     out: list[SplitMergeState] = []
     t = 0.0
-    while True:
-        # the state holds on [t, t + dt): record it before the jump at t + dt
-        t_next = t + core.wait()
-        while len(out) < len(times) and times[len(out)] < t_next:
-            out.append(core.state(times[len(out)]))
-        if len(out) == len(times):
-            return out
-        core.jump()
-        t = t_next
+    t_rec = times[0]
+    for dt in core.events():
+        # the state holds until the jump at t + dt: record it at every sample time before then
+        t = t + dt
+        while t_rec < t:
+            out.append(core.state(t_rec))
+            if len(out) == len(times):
+                return out
+            t_rec = times[len(out)]
 
 
 def time_averaged_l2(
@@ -482,17 +505,16 @@ def time_averaged_l2(
     t = 0.0
     t_end = burn_in + duration
     acc = 0.0
-    while True:
-        s2_now = core.s2
-        dt = core.wait()
-        t_next = min(t + dt, t_end)
-        lo = max(t, burn_in)
-        if t_next > lo:
-            acc += s2_now * (t_next - lo)
-        t = t + dt
+    for dt in core.events():
+        t_next = t + dt
+        # the state's s2 over [t, t_next), clipped to the window
+        hi = t_end if t_end < t_next else t_next
+        lo = burn_in if burn_in > t else t
+        if hi > lo:
+            acc += core.s2 * (hi - lo)
+        t = t_next
         if t >= t_end:  # the state at t_end is the one before the jump at t
             return acc / duration, core.state(t_end)
-        core.jump()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,11 @@ sampler with one cumsum and searchsorted per (site, remainder) group, the
 scalar sampler reading the grid with one ``ndarray.item`` call per term, and
 the split-merge event step with a cumsum and searchsorted over an array of
 the blocks on every event, and the L-fold convolution that folds every
-operand's whole span.
+operand's whole span.  The split-merge chain driven through ``wait`` and
+``jump`` method calls, the ``pdlab sample`` writer that builds each
+partitions.csv line by concatenation, and the ``OrderedPartition``
+validator that tests each mass in a generator are the forms the library's
+event loop, writer and validator replaced.
 """
 
 from __future__ import annotations
@@ -30,11 +34,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+from bisect import bisect_right
 
 import numpy as np
 from scipy.special import logsumexp
 
 from pdlab.ensembles import LogZTable, _logsumexp
+from pdlab.partitions import TOTAL_SLACK, OrderedPartition
+from pdlab.splitmerge import EVENT_WORK_CAP, UNIFORM_BLOCK, SplitMergeState
 from pdlab.weights import log_weight_row
 
 
@@ -537,3 +544,156 @@ def span_power_convolve(p: np.ndarray, L: int) -> tuple[np.ndarray, float]:
         if k:
             base, log_base = fold(base, log_base, base, log_base)
     return np.pad(result, (0, L * (p.size - 1) + 1 - result.size)), log_result
+
+
+def _first_above(cum: list[float], x: float) -> int:
+    return min(bisect_right(cum, x), len(cum) - 1)
+
+
+def _method_uniforms(g):
+    while True:
+        yield from g.random(UNIFORM_BLOCK).tolist()
+
+
+class MethodSplitMergeCore:
+    """Split-merge chain advanced by a ``wait`` and a ``jump`` method call per event.
+
+    Same rates, picks, uniforms, mass arithmetic and EVENT_WORK_CAP refresh
+    as the library's event loop, with its state in attributes.
+    """
+
+    def __init__(self, masses, theta: float, g):
+        if not 0.0 <= theta < math.inf:
+            raise ValueError("theta must be >= 0 and finite")
+        self._next_u = _method_uniforms(g).__next__
+        self.blocks = [float(v) for v in masses if v > 0.0]
+        self.theta = float(theta)
+        self.s1 = float(sum(self.blocks))
+        if not 0.0 < self.s1 <= 1.0 + 1e-12:
+            raise ValueError("initial mass must lie in (0, 1]")
+        self.s2 = float(sum(v * v for v in self.blocks))
+        self.merges = 0
+        self.splits = 0
+        self._events_since_refresh = 0
+        self._work = 0
+
+    def _refresh(self):
+        self.s2 = float(sum(v * v for v in self.blocks))
+        self._work += self._events_since_refresh * len(self.blocks)
+        if self._work > EVENT_WORK_CAP:
+            raise FloatingPointError("the split-merge event loop passed EVENT_WORK_CAP")
+        self._events_since_refresh = 0
+
+    def wait(self) -> float:
+        if self._events_since_refresh >= 4096:
+            self._refresh()
+        self._merge_rate = max(self.s1 * self.s1 - self.s2, 0.0)
+        self._total = self._merge_rate + self.theta * self.s2
+        if self._total <= 0.0 or len(self.blocks) == 0:
+            return math.inf
+        return -math.log1p(-self._next_u()) / self._total
+
+    def jump(self) -> None:
+        blocks, next_u = self.blocks, self._next_u
+        if next_u() * self._total < self._merge_rate:
+            cum = list(itertools.accumulate(blocks))
+            while True:
+                i = _first_above(cum, next_u() * cum[-1])
+                j = _first_above(cum, next_u() * cum[-1])
+                if i != j:
+                    break
+            vi, vj = blocks[i], blocks[j]
+            self.s2 += 2.0 * vi * vj
+            blocks[i] = min(vi + vj, self.s1)
+            del blocks[j]
+            self.merges += 1
+        else:
+            cum2 = list(itertools.accumulate(v * v for v in blocks))
+            i = _first_above(cum2, next_u() * cum2[-1])
+            while True:
+                u = next_u()
+                if 0.0 < u < 1.0:
+                    break
+            v = blocks[i]
+            self.s2 -= 2.0 * u * (1.0 - u) * v * v
+            if u >= 0.5:
+                stay = u * v
+                piece = v - stay
+            else:
+                piece = (1.0 - u) * v
+                stay = v - piece
+            blocks[i] = stay
+            if piece > 0.0:
+                blocks.append(piece)
+            self.splits += 1
+        self._events_since_refresh += 1
+
+    def state(self, t: float) -> SplitMergeState:
+        return SplitMergeState(
+            partition=OrderedPartition.from_masses(self.blocks), time=t, merges=self.merges, splits=self.splits
+        )
+
+
+def simulate_by_methods(theta: float, p0, t_max: float, g, sample_times=()) -> list:
+    """States at the sample times (or at t_max), recorded before the jump past each."""
+    times = sorted(float(t) for t in sample_times) or [float(t_max)]
+    core = MethodSplitMergeCore(p0.masses, theta, g)
+    out = []
+    t = 0.0
+    while True:
+        t_next = t + core.wait()
+        while len(out) < len(times) and times[len(out)] < t_next:
+            out.append(core.state(times[len(out)]))
+        if len(out) == len(times):
+            return out
+        core.jump()
+        t = t_next
+
+
+def time_averaged_l2_by_methods(theta: float, p0, burn_in: float, duration: float, g):
+    """Time average of sum p_i^2 over (burn_in, burn_in + duration], plus the final state."""
+    core = MethodSplitMergeCore(p0.masses, theta, g)
+    t = 0.0
+    t_end = burn_in + duration
+    acc = 0.0
+    while True:
+        s2_now = core.s2
+        dt = core.wait()
+        t_next = min(t + dt, t_end)
+        lo = max(t, burn_in)
+        if t_next > lo:
+            acc += s2_now * (t_next - lo)
+        t = t + dt
+        if t >= t_end:
+            return acc / duration, core.state(t_end)
+        core.jump()
+
+
+def partition_blocks_by_concatenation(rows: list[list[int]], L: int, N: int) -> list[str]:
+    """partitions.csv after its header: each row sorted in place, each line concatenated."""
+    masses = [repr(n / max(N, 1)) for n in range(N + 1)]
+    ranks = [f",{r}," for r in range(L + 1)]
+    blocks = ["sample,rank,mass"]
+    for s, row in enumerate(rows):
+        row.sort(reverse=True)
+        if row[0]:
+            head = str(s)
+            blocks.append("\n".join([head + ranks[r] + masses[n] for r, n in enumerate(row, start=1) if n]))
+    return blocks
+
+
+def validate_masses_by_generator(m: tuple) -> None:
+    """OrderedPartition's checks, in order, each a generator over the masses."""
+    if not all(0.0 <= x <= 1.0 + TOTAL_SLACK for x in m):
+        raise ValueError("masses must lie in [0, 1]")
+    if any(m[i] < m[i + 1] for i in range(len(m) - 1)):
+        raise ValueError("masses must be nonincreasing")
+    if m and m[-1] == 0.0:
+        raise ValueError("trailing zeros must be trimmed (use from_masses)")
+    if sum(m) > 1.0 + TOTAL_SLACK:
+        raise ValueError("total mass exceeds 1")
+
+
+def masses_by_generator(values) -> tuple:
+    """from_masses' input to OrderedPartition: the nonzero values as floats, descending."""
+    return tuple(sorted((float(v) for v in values if v != 0.0), reverse=True))

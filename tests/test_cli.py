@@ -15,6 +15,8 @@ from pdlab import (
 from pdlab import ensembles
 from pdlab.cli import main
 
+from oracle import partition_blocks_by_concatenation
+
 
 @pytest.fixture
 def bulk_family(tmp_path):
@@ -213,6 +215,30 @@ class TestSample:
             got = (out / name).read_text().split("\n")
             assert all(line.startswith("# ") for line in got[:2])
             assert got[2:] == body + [""]
+
+    @pytest.mark.parametrize("L, N, count", [
+        (50, 100, 1),
+        (50, 100, cli.PARTITION_CHUNK),
+        (50, 100, cli.PARTITION_CHUNK + 1),
+        (50, 100, 10_000),
+        (6, 0, 5),
+        (1, 7, 40),
+    ])
+    def test_partition_file_equals_concatenated_lines(self, tmp_path, monkeypatch, L, N, count):
+        # the chunked writer against the per-line concatenation it replaced, byte for byte
+        path = tmp_path / "gap.json"
+        path.write_text(json.dumps({"kind": "bulk_tail", "theta": 1.0, "A": 2, "bulk": [0.5, 0.0, 0.5]}))
+        argv = ["--family", str(path), "--seed", "4", "sample", "--L", str(L), "--N", str(N),
+                "--count", str(count), "--partitions"]
+        assert run("--out", str(tmp_path / "new"), *argv) == 0
+        monkeypatch.setattr(
+            cli, "_partition_blocks", lambda occ, N: partition_blocks_by_concatenation(occ.tolist(), occ.shape[1], N)
+        )
+        assert run("--out", str(tmp_path / "old"), *argv) == 0
+        new, old = ((tmp_path / d / "partitions.csv").read_bytes() for d in ("new", "old"))
+        # two comment lines, the column names, and at least one line per sample of positive mass
+        assert new.count(b"\n") >= 3 + (count if N else 0)
+        assert new == old
 
     def test_partition_file_memory_stays_small(self, tmp_path):
         # the sampling benchmark's draw; a string per partition line holds ~19 MB here

@@ -19,9 +19,9 @@ from pdlab import (
     stick_breaking_batch,
 )
 from pdlab import partitions
-from pdlab.partitions import K_MAX, STICK_CHUNK_ROWS, positive_size_biased_first_batch
+from pdlab.partitions import K_MAX, STICK_CHUNK_ROWS, TOTAL_SLACK, positive_size_biased_first_batch
 
-from oracle import stick_breaking_whole_blocks
+from oracle import masses_by_generator, stick_breaking_whole_blocks, validate_masses_by_generator
 
 
 masses_strategy = st.lists(
@@ -61,6 +61,69 @@ class TestOrderedPartition:
         assert (np.diff(arr) <= 0).all()
         assert p.total <= 1.0 + 1e-12
         assert all(m > 0 for m in p.masses)
+
+
+def _outcome(build, masses):
+    """What building from masses gives: the masses kept, or the error's type and message."""
+    try:
+        return build(masses)
+    except (ValueError, TypeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _new(masses):
+    return OrderedPartition(masses).masses
+
+
+def _old(masses):
+    validate_masses_by_generator(masses)
+    return masses
+
+
+PAST_SLACK = math.nextafter(1.0 + TOTAL_SLACK, 2.0)
+EDGE_MASSES = [
+    (), (0.5,), (math.nan,), (0.5, math.nan), (math.nan, 0.5), (0.5, math.nan, 0.25), (0.25, math.nan, 0.5),
+    (math.inf,), (-math.inf,), (0.5, -math.inf), (math.inf, 0.5), (math.inf, -math.inf),
+    (-0.0,), (0.5, -0.0), (-0.0, 0.5), (0.0, 0.0), (-0.1,), (0.5, -0.1), (-0.1, 0.5), (0.2, 0.5),
+    (0.5, 0.0), (0.5, 0.0, 0.25), (0.5, 0.25, 0.5), (1.0 + TOTAL_SLACK,), (PAST_SLACK,),
+    (0.5, 0.5 + TOTAL_SLACK), (0.5, math.nextafter(0.5 + TOTAL_SLACK, 1.0)), (0.6, 0.6), (1.0, 1e-300), (1.0, 5e-324),
+]
+
+
+class TestValidator:
+    """OrderedPartition's checks against the generator form they replaced."""
+
+    @pytest.mark.parametrize("masses", EDGE_MASSES, ids=repr)
+    def test_edge_masses(self, masses):
+        assert _outcome(_new, masses) == _outcome(_old, masses)
+
+    @pytest.mark.parametrize("masses", EDGE_MASSES, ids=repr)
+    def test_edge_from_masses(self, masses):
+        for values in (list(masses), list(reversed(masses)), np.array(masses, dtype=float), [*masses, 0, 0.0]):
+            got = _outcome(lambda v: OrderedPartition.from_masses(v).masses, values)
+            assert got == _outcome(lambda v: _old(masses_by_generator(v)), values)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(-0.5, 1.5),
+                st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 1.0 + TOTAL_SLACK, PAST_SLACK, 0.5]),
+                st.integers(-1, 2),
+            ),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_same_outcome(self, values):
+        assert _outcome(_new, tuple(values)) == _outcome(_old, tuple(values))
+        got = _outcome(lambda v: OrderedPartition.from_masses(v).masses, values)
+        assert got == _outcome(lambda v: _old(masses_by_generator(v)), values)
+
+    @pytest.mark.parametrize("values", [[None], [0.5, "x"], [0.5, []]], ids=repr)
+    def test_non_numbers_refused_as_before(self, values):
+        assert _outcome(lambda v: OrderedPartition.from_masses(v).masses, values) == _outcome(
+            lambda v: _old(masses_by_generator(v)), values
+        )
 
 
 class TestStickBreaking:

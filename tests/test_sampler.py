@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from pdlab import (
     to_partition,
     zero_fraction_stats,
 )
+from pdlab.sampler import _check_draws
 
 from oracle import config_law, sample_configuration_by_item, sample_configurations_by_group, table_weight
 
@@ -387,6 +389,26 @@ class TestDrawCheck:
     def test_zero_weight_last_site_rejected(self, draw):
         with pytest.raises(FloatingPointError, match="zero-weight"):
             draw(corrupt_table(), SeededRng(0))
+
+    @given(
+        log_w=st.lists(st.sampled_from([0.0, -1.5, -math.inf]), min_size=1, max_size=7),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_draw_refused_as_a_batch_of_one(self, log_w, data):
+        # a single draw gathers its weights, a batch reads the zero-weight mask
+        N = len(log_w) - 1
+        row = np.array(data.draw(st.lists(st.integers(0, N), min_size=1, max_size=5)), dtype=np.int64)
+        table = types.SimpleNamespace(log_w=np.array(log_w + [0.0]))
+
+        def refused(occ):
+            try:
+                _check_draws(table, occ, N)
+            except FloatingPointError:
+                return True
+            return False
+
+        assert refused(row) == refused(row[None, :])
 
     def test_check_survives_optimised_mode(self):
         script = textwrap.dedent(

@@ -39,9 +39,9 @@ from pdlab import (
 )
 from pdlab import splitmerge
 from pdlab.ensembles import cached_logz
+from pdlab.partitions import _first_above
 from pdlab.splitmerge import (
     _SplitMergeCore,
-    _first_above,
     _lattice_apply,
     _panel_points,
     _partition_count,
@@ -51,7 +51,10 @@ from pdlab.splitmerge import (
 
 from oracle import (
     LATTICE_TOL,
+    MethodSplitMergeCore,
     NumpySplitMergeCore,
+    simulate_by_methods,
+    time_averaged_l2_by_methods,
     bulk_tail_weight,
     cutoff_apply_per_row,
     defect_integrand,
@@ -636,6 +639,48 @@ class TestEventLoop:
                 if math.isinf(dt):
                     break
             assert (core.merges, core.splits, core.s2) == (ref.merges, ref.splits, ref.s2)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, 50.0])
+    @pytest.mark.parametrize(
+        "masses", [[1.0], [0.5, 0.25, 0.125, 0.0625], [1 / 40] * 40], ids=["one", "halving", "forty"]
+    )
+    def test_loop_equals_method_calls(self, theta, masses):
+        # from 0.65 events per unit time at theta = 0.5 to 2 at theta = 50, so at
+        # theta > 0 t_max = 8000 passes at least one s2 refresh (every 4096 events)
+        p0 = OrderedPartition.from_masses(masses)
+        times = [0.0, 0.5, 10.0, 100.0, 1000.0, 4000.0, 8000.0]
+        for seed in (3, 8):
+            g, g_ref = SeededRng(seed).generator, SeededRng(seed).generator
+            got = simulate(theta, p0, 8000.0, g, sample_times=times)
+            want = simulate_by_methods(theta, p0, 8000.0, g_ref, sample_times=times)
+            assert [(s.partition.masses, s.time, s.merges, s.splits) for s in got] == [
+                (s.partition.masses, s.time, s.merges, s.splits) for s in want
+            ]
+            avg, end = time_averaged_l2(theta, p0, 100.0, 7000.0, g)
+            avg_ref, end_ref = time_averaged_l2_by_methods(theta, p0, 100.0, 7000.0, g_ref)
+            assert avg.hex() == avg_ref.hex()
+            assert (end.partition.masses, end.merges, end.splits) == (
+                end_ref.partition.masses, end_ref.merges, end_ref.splits
+            )
+            # both read whole uniform blocks, so the generators end at the same place
+            assert g.random() == g_ref.random()
+
+    @pytest.mark.parametrize("theta", [0.5, 1.0, 50.0])
+    @pytest.mark.parametrize(
+        "masses", [[1.0], [0.5, 0.25, 0.125, 0.0625], [1 / 40] * 40], ids=["one", "halving", "forty"]
+    )
+    def test_loop_parks_where_method_calls_wait(self, theta, masses):
+        # at every wait the loop shows the state and the running s2 the method form
+        # holds before its wait, across two s2 refreshes
+        core = _SplitMergeCore(masses, theta, SeededRng(5).generator)
+        ref = MethodSplitMergeCore(masses, theta, SeededRng(5).generator)
+        for dt in itertools.islice(core.events(), 9_000):
+            s2 = ref.s2
+            assert dt.hex() == ref.wait().hex()
+            assert (core.blocks, core.merges, core.splits, core.s2.hex()) == (
+                ref.blocks, ref.merges, ref.splits, s2.hex()
+            )
+            ref.jump()
 
     def test_splits_keep_the_exact_total(self):
         # pieces are stored as v - (rounded larger piece): their sum is v exactly,
