@@ -7,7 +7,8 @@ or a ``.json`` payload as ``{"config", "result"}``.
 Both record the run configuration and the library version, so a rerun with
 the same arguments reproduces every file byte for byte.  θ must be finite.
 Exit codes: 0 success, 2 configuration error (an I/O error on the family file
-or on --out included), 3 numeric failure (JSON message on stderr).
+or on --out included, and a request too large to allocate), 3 numeric failure
+(JSON message on stderr).
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _partition_blocks(occ: np.ndarray, N: int) -> list[str]:
     return blocks
 
 
-def cmd_splitmerge(args, family: WeightFamily | None) -> dict:
+def cmd_splitmerge(args, _family: None) -> dict:
     if not 0 < args.t_max < np.inf:
         raise ConfigError("--t-max must be positive and finite")
     if args.records < 1:
@@ -278,9 +279,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        family = _load_family(args.family) if args.family else None
-        if family is None and args.command != "splitmerge":
+        # the split-merge chain has no weights: a family there would be recorded and do nothing
+        if args.command == "splitmerge" and args.family:
+            raise ConfigError("splitmerge takes no --family")
+        if args.command != "splitmerge" and not args.family:
             raise ConfigError("--family is required for this command")
+        family = _load_family(args.family) if args.family else None
     except (ValueError, KeyError, OSError) as exc:  # a json.JSONDecodeError is a ValueError
         print(f"pdlab: config error: {exc}", file=sys.stderr)
         return 2
@@ -309,7 +313,8 @@ def main(argv=None) -> int:
     except (OutOfDomainError, SupercriticalDensityError, FloatingPointError) as exc:
         print(json.dumps({"error": "numeric", "message": str(exc)}), file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # ConfigError included; OSError: --out or the cache in it
+    # ConfigError included; OSError: --out or the cache in it; MemoryError: arrays too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"pdlab: config error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -122,14 +122,19 @@ def merge(p: OrderedPartition, i: int, j: int) -> OrderedPartition:
 
 
 def split(p: OrderedPartition, i: int, u: float) -> OrderedPartition:
-    """Split block i (1-based) into pieces u p_i and (1-u) p_i."""
+    """Split block i (1-based) into pieces u p_i and (1-u) p_i.
+
+    The larger piece is rounded and the other is p_i minus it, a subtraction
+    that is exact by Sterbenz's lemma, so the pieces sum to p_i exactly.
+    """
     if not (1 <= i <= len(p)):
         raise ValueError("split index out of range")
     if not 0.0 < u < 1.0:
         raise ValueError("split point must lie strictly inside (0, 1)")
     vals = list(p.masses)
     v = vals.pop(i - 1)
-    return OrderedPartition.from_masses(vals + [u * v, (1.0 - u) * v])
+    big = max(u, 1.0 - u) * v
+    return OrderedPartition.from_masses(vals + [big, v - big])
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +360,14 @@ class _SplitMergeCore:
         self.s2 = float(sum(map(mul, self.blocks, self.blocks)))
         self.merges = 0
         self.splits = 0
-        self._stepper = None
 
     def events(self):
         """The event loop: yield the wait to the next event (inf when absorbed), apply its jump when resumed.
 
-        While the loop is parked at a wait, ``blocks``, ``merges``, ``splits``
-        and ``s2`` describe the state before that event; ``s2`` is the value
-        the last jump left, before the refresh every 4096 events recomputes
-        it.  Resumed by ``send(True)``, the loop parks once more after the
-        jump, which is how ``step`` stops there.  A core runs one loop.
+        At each yield, ``blocks``, ``merges``, ``splits`` and ``s2`` describe
+        the state before that event; ``s2`` is the value the last jump left,
+        before the refresh every 4096 events recomputes it.  Values sent in
+        are ignored.  A core runs one loop.
         """
         blocks, next_u, theta, s1 = self.blocks, self._next_u, self.theta, self.s1
         s1_sq, s2 = s1 * s1, self.s2
@@ -384,10 +387,10 @@ class _SplitMergeCore:
             if merge_rate < 0.0:
                 merge_rate = 0.0
             total = merge_rate + theta * s2
-            if total <= 0.0 or not blocks:
+            if total <= 0.0:
                 yield math.inf
                 continue
-            park = yield -math.log1p(-next_u()) / total
+            yield -math.log1p(-next_u()) / total
             last = len(blocks) - 1
             if next_u() * total < merge_rate:
                 cum = list(accumulate(blocks))
@@ -433,17 +436,6 @@ class _SplitMergeCore:
                 self.splits += 1
             self.s2 = s2
             since_refresh += 1
-            if park:
-                yield
-
-    def step(self) -> float:
-        """Advance one event; returns the waiting time (inf when absorbed)."""
-        if self._stepper is None:
-            self._stepper = self.events()
-        dt = next(self._stepper)
-        if dt < math.inf:
-            self._stepper.send(True)
-        return dt
 
     def state(self, t: float) -> SplitMergeState:
         return SplitMergeState(

@@ -33,7 +33,6 @@ class TestWritePath:
     COMMANDS = {
         "zn": ["zn", "--L", "4", "--N", "6"],
         "sample": ["sample", "--L", "4", "--N", "6", "--count", "3", "--partitions"],
-        "splitmerge": ["splitmerge", "--theta", "1", "--t-max", "2", "--records", "2"],
         "reversibility": ["reversibility", "--theta", "1", "--eps", "0.2", "--sizes", "3:6", "--mode", "exact"],
         "ensembles": ["ensembles", "--rho", "0.25", "--sizes", "8"],
         "condense": ["condense", "--rho", "2", "--theta", "1", "--sizes", "50"],
@@ -87,6 +86,18 @@ class TestWritePath:
         out = tmp_path / "o"
         assert run("--family", str(tmp_path), "--out", str(out), "zn", "--L", "5", "--N", "7") == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["zn", "--L", "100000000000000", "--N", "1"],
+        ["sample", "--L", "1000", "--N", "10", "--count", "1000000000000"],
+    ], ids=["zn", "sample"])
+    def test_request_too_large_to_allocate_is_config_error(self, tmp_path, bulk_family, capsys, argv):
+        # 1.42 PiB of grid and 7.11 PiB of draws: NumPy refuses them at once and touches no memory
+        out = tmp_path / "o"
+        assert run("--family", bulk_family, "--out", str(out), *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pdlab: config error: Unable to allocate") and err.count("\n") == 1
         assert not out.exists()
 
 
@@ -319,6 +330,15 @@ class TestSplitMerge:
                    "--t-max", "5", "--records", "0")
         assert code == 2
         assert "--records" in capsys.readouterr().err
+
+    def test_family_is_refused(self, tmp_path, bulk_family, capsys):
+        # the chain has no weights, so a family would be recorded in the header and do nothing
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "splitmerge", "--theta", "1",
+                   "--t-max", "2", "--records", "2")
+        assert code == 2
+        assert "splitmerge takes no --family" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("p0", ["5", "[null]", "[[0.5]]", "[true]"])
     def test_p0_must_be_a_list_of_reals(self, tmp_path, p0):
