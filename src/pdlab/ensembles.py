@@ -410,7 +410,7 @@ def _chernoff_horizon(p: np.ndarray, L: int, log_tail: float) -> int:
     By Chernoff the probability is at most exp(L log E e^(tX) - tH) for every
     t > 0, so each t gives a valid horizon (L log E e^(tX) - log_tail) / t.  The
     smallest over a grid of t around the Gaussian optimum is taken, plus a cell
-    to spare.  Draws are nonnegative, so the bound holds for any m <= L draws.
+    to spare.
     """
     if log_tail >= 0.0:
         return 0
@@ -427,80 +427,43 @@ def _chernoff_horizon(p: np.ndarray, L: int, log_tail: float) -> int:
     return math.ceil(float(np.min((L * log_mgf - log_tail) / t))) + 1
 
 
-def _window_fold(x: tuple, y: tuple, H: int) -> tuple | None:
-    """One fold of ``_power_convolve`` on operands (cells, log scale, whole), or None.
-
-    A whole operand holds its span, the full fold's cells up to the last nonzero
-    one; any other holds the first H cells of a span at least H long.  Cell
-    k < H of ``np.correlate(a, b[::-1], "full")`` is one dot product over
-    a[:k + 1] and b[:k + 1] if both are longer than k, and over b and a[k - len(b)
-    + 1:k + 1] if b is the shorter one and ends before k: the same dot products
-    as on the spans, in the same order if the operand with the longer span comes
-    first, as ``_scaled_convolve`` puts it.  None when the window cannot tell
-    that order, or whether the result's span ends before H.
-    """
-    (a, log_a, a_whole), (b, log_b, b_whole) = x, y
-    if x is not y and not (a_whole and b_whole):
-        if a_whole and a.size < H:  # b's span is longer
-            a, log_a, b, log_b = b, log_b, a, log_a
-        elif not b_whole:
-            return None
-    out, log_out, _ = _scaled_convolve(a, log_a, b[::-1], log_b)
-    if a_whole and b_whole:  # the full fold's result
-        out = _nonzero_head(out)
-        return (out, log_out, True) if out.size <= H else (out[:H], log_out, False)
-    if out[H - 1] == 0.0:
-        return None  # the span may end before H, or go on past a zero there
-    return out[:H], log_out, False
-
-
-def _window_folds(p: np.ndarray, L: int, H: int) -> tuple | None:
-    """The first cells of the L-fold law of p (a nonzero head) and its log scale, or None.
-
-    Every operand is cut to its first H cells; the cells are the full folds' up
-    to the result's span or H, whichever ends first.  None when a fold fails.
-    """
-    result, base = (np.array([1.0]), 0.0, True), (p[:H], 0.0, p.size <= H)
-    k = L
-    while True:
-        if k & 1 and (result := _window_fold(result, base, H)) is None:
-            return None
-        k >>= 1
-        if not k:
-            return result[:2]
-        if (base := _window_fold(base, base, H)) is None:
-            return None
-
-
 def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[np.ndarray, float]:
-    """L-fold convolution of a pmf by binary exponentiation with per-fold rescaling.
+    """First H cells of the L-fold convolution of a pmf, scaled to peak 1, and its log scale.
 
-    Returns the first H cells of the law, scaled to peak 1, and its log scale;
-    H is the full length L * (p.size - 1) + 1 when horizon is None.  Each fold
-    convolves its operands only up to their last nonzero cell: past it the
-    folded laws hold cells that underflowed to exactly 0.  Every cell still
-    sums the same nonnegative products, so the bound of ``_scaled_convolve``
-    holds with the span length.  Leading zeros (w(0) = 0) are kept: dropping
-    them moves where each dot product starts, and so the rounding near the peak.
-
-    With a horizon, each fold also cuts its operands to their first H >= horizon
-    cells, and the H cells returned are bit for bit the full folds' (see
-    ``_window_fold``).  That needs each fold's peak, by which it is scaled,
-    below H: H is at least the Chernoff horizon past which every partial fold
-    holds at most 2^-64 of the smallest peak a law on L * n + 1 cells can have.
-    Where a fold cannot prove its order, or where its span ends, the window
-    would have to hold the partial result's whole span, so the folds run again
-    at the full length.
+    H is min(horizon, L * (p.size - 1) + 1), the full length when horizon is
+    None; p's first H cells must hold a nonzero one.  Binary exponentiation:
+    each fold cuts its operands to their first H cells and to their last
+    nonzero cell (past it the folded laws hold cells that underflowed to
+    exactly 0), correlates them longer operand first, the left one on a tie,
+    and keeps the first H cells scaled by their own peak.  A cell below H
+    depends only on the operands' cells below H, whatever the summation order,
+    and each sums nonnegative products, so the bound of ``_scaled_convolve``
+    holds.  Leading zeros (w(0) = 0) are kept: dropping them moves where each
+    dot product starts, and so the rounding near the peak.
+    A window in which every cell underflowed stays zero, with log scale -inf.
     """
     size = L * (p.size - 1) + 1
-    p = _nonzero_head(p)
-    H = size
-    if horizon is not None:
-        span = L * (p.size - 1) + 1
-        H = min(size, max(horizon, _chernoff_horizon(p, L, -64 * math.log(2) - math.log(span))))
-    if H == size or (folded := _window_folds(p, L, H)) is None:
-        H, folded = size, _window_folds(p, L, size)
-    cells, log_scale = folded
+    H = size if horizon is None else min(horizon, size)
+
+    def fold(x, y):
+        (a, log_a), (b, log_b) = (x, y) if x[0].size >= y[0].size else (y, x)
+        out = np.correlate(a, b[::-1], "full")[:H]
+        peak = out[int(out.argmax())]
+        if peak == 0.0:
+            return out[:1], -math.inf
+        out /= peak
+        return _nonzero_head(out), log_a + log_b + math.log(peak)
+
+    result, base = (np.array([1.0]), 0.0), (_nonzero_head(p[:H]), 0.0)
+    k = L
+    while True:
+        if k & 1:
+            result = fold(result, base)
+        k >>= 1
+        if not k:
+            break
+        base = fold(base, base)
+    cells, log_scale = result
     return np.pad(cells, (0, H - cells.size)), log_scale
 
 
@@ -509,10 +472,13 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
 
     The sum's law is computed exactly by L-fold convolution of the truncated
     single-site law (log scale carried through the folds), on its first N + 1
-    cells at least.  A vanishing probability is reported as +inf, with a
-    warning that tells an N past the support L * n_trunc from an underflow.
+    cells.  A vanishing probability is reported as +inf, with a warning that
+    tells an N outside the support, from L * k_min to L * n_trunc, from an
+    underflow.
     """
     gc = grand_canonical_stats(family, L, phi)
+    pmf = gc.pmf()
+    k_min = int(np.flatnonzero(pmf)[0])
     if N > L * gc.n_trunc:
         warnings.warn(
             f"P[S_{L} = {N}] is zero: N lies past the support, which ends at "
@@ -520,7 +486,14 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
             stacklevel=2,
         )
         return math.inf
-    vec, log_scale = _power_convolve(gc.pmf(), L, N + 1)
+    if N < L * k_min:
+        warnings.warn(
+            f"P[S_{L} = {N}] is zero: N lies below the support, which starts at "
+            f"L * k_min = {L * k_min}",
+            stacklevel=2,
+        )
+        return math.inf
+    vec, log_scale = _power_convolve(pmf, L, N + 1)
     if vec[N] <= 0.0:
         warnings.warn(
             f"P[S_{L} = {N}] underflowed to zero (support up to {L * gc.n_trunc}, "
@@ -552,9 +525,12 @@ def local_clt_report(family: WeightFamily, L: int) -> DiagnosticsReport:
     Reports the centering a_L = L R_L(phi_L), the scale b_L = sqrt(L sigma_L^2),
     the overlap statistic Q_L, the sup-norm distance between the exact lattice
     law of the sum and the Gaussian density, and Lindeberg sums at a few
-    thresholds.  The sum's law is convolved in linear space with one global
-    rescaling per fold, because the sup-norm comparison needs absolute
-    probabilities.
+    thresholds.  The sum's law is convolved in linear space with one
+    rescaling per fold, its log carried along, because the sup-norm comparison
+    needs absolute probabilities.  The sup is taken over the law's first H
+    cells; H starts at the Chernoff horizon past which the tail holds at most
+    2^-64 of the smallest peak a law on L * n + 1 cells can have, and doubles
+    until no cell from H on can reach the sup.
     """
     phi_l = phi_sequence(family, L)
     gc = grand_canonical_stats(family, L, phi_l)
@@ -580,7 +556,8 @@ def local_clt_report(family: WeightFamily, L: int) -> DiagnosticsReport:
     # the sup over the first H cells is the sup over all once no cell from H on
     # can reach it: b_L P[S_L >= H] by Chernoff, and the Gaussian past its
     # centre, at most its value at H
-    size, H = L * (nu.size - 1) + 1, 0
+    size = L * (nu.size - 1) + 1
+    H = _chernoff_horizon(nu, L, -64 * math.log(2) - math.log(size))
     while True:
         vec, log_scale = _power_convolve(nu, L, H)
         pmf = vec * math.exp(log_scale)

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -427,9 +428,32 @@ class TestRelativeEntropy:
             assert relative_entropy_bound(BERNOULLI, 1100, 1100, 1.0) == math.inf
         assert not [w for w in seen if "past the support" in str(w.message)]
 
+    def test_mass_below_the_support_reports_inf(self):
+        # table [0, 1, 1]: every site holds >= 1, so 8 sites carry at least 8
+        fam = WeightFamily.from_table([0.0, 1.0, 1.0])
+        with pytest.warns(UserWarning, match="below the support, which starts at L \\* k_min = 8") as seen:
+            assert relative_entropy_bound(fam, 8, 2, 0.5) == math.inf
+        assert not [w for w in seen if "underflow" in str(w.message)]
+
+    def test_underflowed_window_reports_inf(self):
+        # P[S_2 = 2] = w(1)^2 = 1e-400 relative to the rest: the window's one
+        # product underflows, so every cell of it is 0
+        fam = WeightFamily.from_table([0.0, 1e-200, 1.0])
+        with pytest.warns(UserWarning, match=r"P\[S_2 = 2\] underflowed to zero"):
+            assert relative_entropy_bound(fam, 2, 2, 1.0) == math.inf
+
+    def test_small_totals_at_large_L(self):
+        # the window [0, N] is scaled by its own peak: cell 5 of Binomial(1100, 1/2)
+        # is 4e-317 of the whole law's peak (subnormal), and cell 0 underflows there
+        L = 1100
+        want = -(math.log(math.comb(L, 5)) - L * math.log(2)) / L
+        got = relative_entropy_bound(BERNOULLI, L, 5, 1.0)
+        assert abs(got - want) <= 4 * np.spacing(want)
+        assert relative_entropy_bound(BERNOULLI, L, 0, 1.0) == math.log(2)
+
     @pytest.mark.parametrize("L,N,phi", [(512, 900, 0.5), (256, 2000, 0.9), (100, 400, 0.3)])
     def test_mass_past_the_first_horizon(self, L, N, phi):
-        # N + 1 lies past the peak horizon, so the window is widened to reach N
+        # N + 1 lies past the Chernoff horizon, so the window holds the law's peak
         p = grand_canonical_stats(BULK, L, phi).pmf()
         horizon = ensembles._chernoff_horizon(p, L, -64 * math.log(2) - math.log(L * (p.size - 1) + 1))
         assert N >= horizon
@@ -612,13 +636,37 @@ FOLD_FAMILIES = [BULK, GAP, INCLUSION05, WeightFamily.from_table([0.0, 1.0, 1.0]
 FOLD_IDS = ["bulk_tail", "gap", "inclusion", "table011", "point", "bernoulli"]
 
 
-class TestPowerConvolve:
-    """The span-only folds against full-length folds, on the law local_clt_report folds.
+def chernoff_window(p, L):
+    """The first window local_clt_report folds on."""
+    return ensembles._chernoff_horizon(p, L, -64 * math.log(2) - math.log(L * (p.size - 1) + 1))
 
-    At the flatter tilts of relative_entropy_bound a few cells above 1e-250 of
-    the peak can also move by an ulp or two (bulk_tail at L = 333, rho = 0.25);
-    test_cli_output_unchanged pins what that path reports.  The folds on a
-    horizon must equal the span-only folds kept in oracle.py bit for bit.
+
+def exact_fold_law(p, L):
+    """The L-fold law of the doubles in p, in exact rational arithmetic."""
+    law = [Fraction(1)]
+    for _ in range(L):
+        law = [sum((law[i] * Fraction(p[k - i]) for i in range(max(0, k - p.size + 1), min(k + 1, len(law)))),
+                   Fraction(0)) for k in range(len(law) + p.size - 1)]
+    return law
+
+
+# clt_sup_error is |b_L * pmf - Gaussian| at its sup, a difference of terms up to
+# 50 times larger than itself: the window's cells, within 1.6e-15 of the span
+# folds', move it by up to 8.1e-14 relative (bulk_tail at L = 1023)
+SUP_ERROR_RTOL = 1e-13
+
+
+class TestPowerConvolve:
+    """The folds against full-length folds, span-only folds and exact rational folds.
+
+    Without a horizon the folds are the span-only folds kept in oracle.py bit
+    for bit.  Against full-length folds, at the flatter tilts of
+    relative_entropy_bound a few cells above 1e-250 of the peak can also move
+    by an ulp or two (bulk_tail at L = 333, rho = 0.25);
+    test_cli_output_unchanged pins what that path reports.  On a window, each
+    fold takes its operands' first H cells, longer first, and scales by the
+    window's own peak: the cells match the span folds to a measured relative
+    bound, and exact folds to a few ulps.
     """
 
     @pytest.mark.parametrize("L", [1, 2, 3, 7, 64, 100, 333, 512])
@@ -642,34 +690,76 @@ class TestPowerConvolve:
     @pytest.mark.parametrize("tilt", ["phi_L", 0.3, 0.9])
     @pytest.mark.parametrize("family", FOLD_FAMILIES, ids=FOLD_IDS)
     def test_window_equals_span_folds(self, family, tilt):
-        # bit for bit on the cells returned, log scale included, at every size; at
-        # phi = 0.3, bulk_tail and inclusion at L = 255, 511 and 1023 put the partial
-        # result first in nine multiplications, its span tied with the base's
+        # on local_clt_report's first window, which holds the peak, and on one left
+        # of the peak: each cell >= 2^-64 of the window's peak within 4e-15 of the
+        # span folds' cell relative to the same peak (1.6e-15 measured over this
+        # sweep), the log scale within 4 ulps
         for L in [*range(1, 71), 127, 128, 129, 255, 256, 511, 512, 1023, 1024, 2048]:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # phi_L clipped below 1 for the tables
                 phi = phi_sequence(family, L) if tilt == "phi_L" else tilt
             p = grand_canonical_stats(family, L, phi).pmf()
             want, log_want = span_power_convolve(p, L)
-            got, log_got = ensembles._power_convolve(p, L, 0)
-            assert 1 <= got.size <= want.size and same_bits(log_got, log_want), L
-            assert same_bits(got, want[: got.size]), L
+            low = L * int(np.flatnonzero(p)[0])
+            for H in (chernoff_window(p, L), low + 1 + (want.size - low) // 7):
+                got, log_got = ensembles._power_convolve(p, L, H)
+                assert got.size == min(H, want.size), (L, H)
+                j = int(got.argmax())
+                ref = want[: got.size] / want[j]
+                big = ref >= 2.0**-64
+                assert got[j] == 1.0 and (np.abs(got - ref)[big] <= 4e-15 * ref[big]).all(), (L, H)
+                log_ref = log_want + math.log(want[j])
+                assert abs(log_got - log_ref) <= 4 * np.spacing(abs(log_ref)), (L, H)
             if L < 1000:  # no horizon: the full length, by the same folds
                 got, log_got = ensembles._power_convolve(p, L)
                 assert same_bits(got, want) and same_bits(log_got, log_want), L
 
+    @pytest.mark.parametrize("p", [[0.5, 0.5], [0.25, 0.5, 0.25], [0.0, 1 / 3, 2 / 3]],
+                             ids=["half", "quarter", "third"])
+    def test_window_matches_exact_rational_folds(self, p):
+        # every window of every L <= 12 (measured worst: 3 ulps on cells, 2 on the log scale)
+        p = np.array(p)
+        low = int(np.flatnonzero(p)[0])
+        for L in range(1, 13):
+            law = exact_fold_law(p, L)
+            for H in [None, *range(L * low + 1, len(law) + 1)]:
+                got, log_got = ensembles._power_convolve(p, L, H)
+                cells = law[: got.size]
+                peak = max(cells)
+                want = np.array([float(c / peak) for c in cells])
+                assert (np.abs(got - want) <= 4 * np.spacing(want)).all(), (L, H)
+                log_want = math.log(peak)
+                assert abs(log_got - log_want) <= 4 * np.spacing(abs(log_want)), (L, H)
+
+    @pytest.mark.parametrize("L", [1000, 1023])
+    def test_folds_stay_on_the_window(self, L, monkeypatch):
+        # L not a power of two: no fold runs on an operand longer than the window
+        p = grand_canonical_stats(GAP, L, phi_sequence(GAP, L)).pmf()
+        H = chernoff_window(p, L)
+        lengths, correlate = [], np.correlate
+        monkeypatch.setattr(np, "correlate", lambda a, v, mode: lengths.extend([a.size, v.size]) or correlate(a, v, mode))
+        ensembles._power_convolve(p, L, H)
+        assert lengths and max(lengths) <= H < L * (p.size - 1) + 1
+
     @pytest.mark.parametrize("L", [2, 7, 64, 100, 333, 512, 1024])
     @pytest.mark.parametrize("family", FOLD_FAMILIES, ids=FOLD_IDS)
     def test_local_clt_report_equals_full_folds(self, family, L, monkeypatch):
+        # bit for bit at powers of two, whose only multiplication is by the
+        # one-cell start; elsewhere the order of a multiplication can differ
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             got = local_clt_report(family, L)
             monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, horizon=None: span_power_convolve(p, L))
             want = local_clt_report(family, L)
         assert got.labels() == want.labels()
-        assert same_bits(np.array([got.value(k) for k in got.labels()]), np.array([want.value(k) for k in want.labels()]))
+        values = {k: (got.value(k), want.value(k)) for k in got.labels()}
+        if L & (L - 1):
+            g, w = values.pop("clt_sup_error", (0.0, 0.0))
+            assert abs(g - w) <= SUP_ERROR_RTOL * w
+        assert same_bits(np.array([g for g, _ in values.values()]), np.array([w for _, w in values.values()]))
 
     def test_cli_output_unchanged(self, tmp_path, monkeypatch):
+        # bulk_tail at 32, 128, 512 byte for byte; gap at 100 and 333 to the bound
         families = {
             "bulk": ({"kind": "bulk_tail", "theta": 1.0, "A": 1, "bulk": [0.5, 0.5]}, "0.25", "32,128,512"),
             "gap": ({"kind": "bulk_tail", "theta": 1.0, "A": 2, "bulk": [0.5, 0.0, 0.5]}, "0.4", "100,333"),
@@ -686,9 +776,18 @@ class TestPowerConvolve:
                 out[name] = (dest / "ensembles.csv").read_bytes()
             return out
 
-        spans = csv_bytes("spans")
+        windows = csv_bytes("windows")
         monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, horizon=None: full_power_convolve(p, L))
-        assert spans == csv_bytes("full")
+        full = csv_bytes("full")
+        assert windows["bulk"] == full["bulk"]
+        got, want = (table.decode().splitlines() for table in (windows["gap"], full["gap"]))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            if g != w:
+                *key, g_value = g.split(",")
+                *w_key, w_value = w.split(",")
+                assert key == w_key and key[0] == "clt_clt_sup_error"
+                assert abs(float(g_value) - float(w_value)) <= SUP_ERROR_RTOL * float(w_value)
 
 
 class TestMaskedRows:
