@@ -467,18 +467,60 @@ def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[
     return np.pad(cells, (0, H - cells.size)), log_scale
 
 
+def _retilt(p: np.ndarray, L: int, N: int) -> tuple[np.ndarray, float]:
+    """p tilted so that its mean is N / L, and the log normaliser c of the tilt.
+
+    The tilt is e^{tn} with t = sL, written centred as e^{s(nL - N)}: the
+    tilted law is p_t(n) = p(n) e^{s(nL - N) - c}.  Any L draws that sum to N
+    have sum(n_i L - N) = 0, so log P[S_L = N] = log P_t[S_L = N] + L c
+    exactly, for every s; this is the identity log P_t - tN + L log sum p e^{tn}
+    with the tN folded into the exponent.  s is found by bisection on the sign
+    of the tilted mean minus N / L, down to adjacent doubles.  The bracket
+    doubles until that sign changes or the mean reaches N / L to the last
+    bit, which at an end of the support happens only once every other cell
+    has underflowed next to the end cell.
+    """
+    with np.errstate(divide="ignore"):  # log 0 = -inf where p is 0
+        logp = np.log(p)
+    k = np.arange(p.size, dtype=float) * L - N  # exact integers
+
+    def offset(s):  # L * (tilted mean) - N
+        b = logp + s * k
+        q = np.exp(b - b.max())
+        return float(np.dot(k, q) / q.sum())
+
+    lo, hi = -1.0, 1.0
+    while offset(lo) > 0.0:
+        lo *= 2.0
+    while offset(hi) < 0.0:
+        hi *= 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if offset(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    b = logp + lo * k
+    c = float(_logsumexp(b))
+    return np.exp(b - c), c
+
+
 def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> float:
     """Per-site relative-entropy bound -(1/L) log P[sum of L tilted draws = N].
 
     The sum's law is computed exactly by L-fold convolution of the truncated
     single-site law (log scale carried through the folds), on its first N + 1
-    cells.  A vanishing probability is reported as +inf, with a warning that
-    tells an N outside the support, from L * k_min to L * n_trunc, from an
-    underflow.
+    cells.  An N outside the support, from L * k_min to L * n_trunc, is
+    reported as +inf with a warning.  Inside the support, when cell N of the
+    window underflows (P[S_L = N] far below the double range, as near an end
+    of the support), the law is re-tilted so that its mean is N / L (see
+    ``_retilt``) and folded again, which brings cell N back into range; only
+    a re-tilted cell that is still 0 is reported as +inf, with an
+    "underflowed" warning.
     """
     gc = grand_canonical_stats(family, L, phi)
     pmf = gc.pmf()
-    k_min = int(np.flatnonzero(pmf)[0])
+    support = np.flatnonzero(pmf)
+    k_min, k_max = int(support[0]), int(support[-1])
     if N > L * gc.n_trunc:
         warnings.warn(
             f"P[S_{L} = {N}] is zero: N lies past the support, which ends at "
@@ -494,6 +536,11 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
         )
         return math.inf
     vec, log_scale = _power_convolve(pmf, L, N + 1)
+    # past L * k_max the pmf's top cells underflowed, and no tilt has a mean there
+    if vec[N] <= 0.0 and N <= L * k_max:
+        tilted, c = _retilt(pmf, L, N)
+        vec, log_scale = _power_convolve(tilted, L, N + 1)
+        log_scale += L * c
     if vec[N] <= 0.0:
         warnings.warn(
             f"P[S_{L} = {N}] underflowed to zero (support up to {L * gc.n_trunc}, "

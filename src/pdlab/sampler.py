@@ -81,34 +81,45 @@ def sample_configuration(table: LogZTable, L: int, N: int, rng) -> Configuration
 
     Each site inverts its conditional law by sequential search: it adds up
     p(n) = w(n) Z_{m-1, r-n} / Z_{m, r} for n = 0, 1, ... and stops at the
-    first n whose running sum passes the site's uniform, so a draw reads
-    N + L terms in all.  The L - 1 uniforms come from one call, the same
-    doubles as one call per site.  When rounding leaves the sum at or below
-    the uniform, the walk steps back from r to the largest n with p(n) > 0,
+    first n whose running sum passes the site's uniform.  So a site that
+    takes 0 reads one term, a site that takes n >= 1 reads n + 1, and once
+    the mass runs out (r = 0) every later site holds 0 and reads none.  The
+    term n = 0 is tested before the scan, which gives the same bits as
+    adding it to 0.0.  The L - 1 uniforms come from one call, the same
+    doubles as one call per site, and all of them are drawn even when the
+    mass runs out early.  When rounding leaves the sum at or below the
+    uniform, the walk steps back from r to the largest n with p(n) > 0,
     never a zero-weight one.  The grid is read through a flat memoryview,
-    which indexes faster than the array and yields the same doubles.
+    which indexes faster than the array and yields the same doubles, at one
+    index that moves by -(width + n) from site to site.
     """
     _check_cell(table, L, N)
     g = _as_generator(rng)
     logz = np.ascontiguousarray(table.logz)
     flat, width = memoryview(logz).cast("B").cast("d"), logz.shape[1]
     log_w = table.log_w[: N + 1].tolist()
-    occ = []
-    r = N
-    for m, u in zip(range(L, 1, -1), g.random(L - 1).tolist()):
-        # term n reads log Z_{m-1, r-n} at flat[rest - n]
-        rest, top = (m - 1) * width + r, flat[m * width + r]
-        acc = 0.0
-        for n in range(r + 1):
-            acc += math.exp(log_w[n] + flat[rest - n] - top)
+    log_w0 = log_w[0]
+    occ = [0] * L
+    r, at = N, L * width + N  # flat[at] is log Z_{m, r}
+    for x, u in enumerate(g.random(L - 1).tolist()):
+        if not r:
+            break
+        top = flat[at]
+        at -= width  # term n reads log Z_{m-1, r-n} at flat[at - n]
+        acc = math.exp(log_w0 + flat[at] - top)
+        if acc > u:
+            continue
+        for n in range(1, r + 1):
+            acc += math.exp(log_w[n] + flat[at - n] - top)
             if acc > u:
                 break
         else:
-            while n > 0 and not math.exp(log_w[n] + flat[rest - n] - top) > 0.0:
+            while n > 0 and not math.exp(log_w[n] + flat[at - n] - top) > 0.0:
                 n -= 1
-        occ.append(n)
+        occ[x] = n
         r -= n
-    occ.append(r)
+        at -= n
+    occ[L - 1] = r
     occ = np.fromiter(occ, np.int64, L)
     _check_draws(table, occ, N)
     return Configuration(occ)
@@ -209,8 +220,9 @@ def to_partition(eta: Configuration) -> OrderedPartition:
     if eta.N == 0:
         warnings.warn("empty configuration maps to the empty partition", stacklevel=2)
         return OrderedPartition.from_masses([])
+    # n / N rises with n, so the sorted counts give the masses in order
     occ = eta.occupations
-    return OrderedPartition.from_masses((occ[occ > 0] / eta.N).tolist())
+    return OrderedPartition(tuple((np.sort(occ[occ > 0])[::-1] / eta.N).tolist()))
 
 
 def zero_fraction_stats(table: LogZTable, L: int, N: int) -> DiagnosticsReport:

@@ -19,7 +19,10 @@ library must reproduce bit for bit: the log Z build that splits each row
 into the cells above and below the floor by boolean masks, stick-breaking
 that draws and fills each 64-column block for all rows at once, the batch
 sampler with one cumsum and searchsorted per (site, remainder) group, the
-scalar sampler reading the grid with one ``ndarray.item`` call per term, and
+scalar sampler reading the grid with one ``ndarray.item`` call per term and
+scanning every site from n = 0 (no shortcut for an empty site, none for a
+spent mass), the ordered partition of a configuration built by
+``from_masses`` (divide, drop zeros, sort), and
 the split-merge event step with a cumsum and searchsorted over an array of
 the blocks on every event, and the L-fold convolution that folds every
 operand's whole span.  The split-merge chain driven through ``wait`` and
@@ -435,6 +438,11 @@ def sample_configuration_by_item(logz: np.ndarray, log_w: np.ndarray, L: int, N:
         r -= n
     occ.append(r)
     return occ
+
+
+def partition_by_from_masses(occ: np.ndarray) -> OrderedPartition:
+    """Ordered partition of a configuration's counts through ``from_masses``: divide, filter, sort."""
+    return OrderedPartition.from_masses((occ[occ > 0] / occ.sum()).tolist())
 
 
 def searchsorted_pick(weights, x: float) -> int:

@@ -422,11 +422,44 @@ class TestRelativeEntropy:
             assert relative_entropy_bound(fam, 2, 40, 1.0) == math.inf
         assert not [w for w in seen if "underflow" in str(w.message)]
 
-    def test_underflowed_mass_reports_inf(self):
-        # P[S_1100 = 1100] = 2^-1100 lies inside the support and below the smallest double
-        with pytest.warns(UserWarning, match=r"P\[S_1100 = 1100\] underflowed to zero \(support up to 1100") as seen:
-            assert relative_entropy_bound(BERNOULLI, 1100, 1100, 1.0) == math.inf
-        assert not [w for w in seen if "past the support" in str(w.message)]
+    def test_underflowed_mass_is_retilted(self):
+        # P[S_1100 = 1100] = 2^-1100 lies inside the support and below the smallest
+        # double; the re-tilted law puts it back in range, so the bound is ln 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = relative_entropy_bound(BERNOULLI, 1100, 1100, 1.0)
+            assert abs(got - math.log(2)) <= 4 * np.spacing(math.log(2))
+            # one step inside the top end: P = 1100 * 2^-1100 is subnormal-small too
+            want = -(math.log(1100) - 1100 * math.log(2)) / 1100
+            got = relative_entropy_bound(BERNOULLI, 1100, 1099, 1.0)
+            assert abs(got - want) <= 4 * np.spacing(want)
+
+    @pytest.mark.parametrize("L,N", [(32, 3), (32, 8), (32, 40), (128, 20), (7, 7)])
+    def test_retilted_folds_equal_direct_folds(self, L, N):
+        # log P[S_L = N] = log P_t[S_L = N] + L c holds for every tilt; where the
+        # direct window does not underflow both routes agree to rounding
+        phi = invert_density(BULK, None, 0.25)
+        pmf = grand_canonical_stats(BULK, L, phi).pmf()
+        vec, log_scale = ensembles._power_convolve(pmf, L, N + 1)
+        tilted, c = ensembles._retilt(pmf, L, N)
+        assert abs(np.dot(np.arange(tilted.size), tilted) / tilted.sum() - N / L) < 1e-9
+        tvec, t_scale = ensembles._power_convolve(tilted, L, N + 1)
+        direct = math.log(vec[N]) + log_scale
+        assert math.log(tvec[N]) + t_scale + L * c == pytest.approx(direct, rel=1e-12)
+
+    def test_retilted_cell_that_stays_zero_reports_inf(self):
+        # table [1, 0, 1]: an odd total is off the lattice 2Z, so the re-tilted
+        # window still holds 0 at N
+        fam = WeightFamily.from_table([1.0, 0.0, 1.0])
+        with pytest.warns(UserWarning, match=r"P\[S_301 = 301\] underflowed to zero \(support up to 602"):
+            assert relative_entropy_bound(fam, 301, 301, 1.0) == math.inf
+
+    def test_mass_past_the_pmf_top_reports_inf(self):
+        # phi = 1e-200 puts w(2) phi^2 = 1e-400 below the double range: the pmf
+        # ends at k_max = 1, no tilt has mean 2, and N = L * n_trunc underflowed
+        fam = WeightFamily.from_table([1.0, 1.0, 1.0])
+        with pytest.warns(UserWarning, match=r"P\[S_3 = 6\] underflowed to zero \(support up to 6"):
+            assert relative_entropy_bound(fam, 3, 6, 1e-200) == math.inf
 
     def test_mass_below_the_support_reports_inf(self):
         # table [0, 1, 1]: every site holds >= 1, so 8 sites carry at least 8
@@ -435,12 +468,17 @@ class TestRelativeEntropy:
             assert relative_entropy_bound(fam, 8, 2, 0.5) == math.inf
         assert not [w for w in seen if "underflow" in str(w.message)]
 
-    def test_underflowed_window_reports_inf(self):
-        # P[S_2 = 2] = w(1)^2 = 1e-400 relative to the rest: the window's one
-        # product underflows, so every cell of it is 0
+    def test_underflowed_window_is_retilted(self):
+        # P[S_L = L] = p(1)^L with p(1) = 1e-200 / (1 + 1e-200): the window's one
+        # product underflows, and the law re-tilted onto its end cell n = 1
+        # gives -(1/L) log P = 200 ln 10
         fam = WeightFamily.from_table([0.0, 1e-200, 1.0])
-        with pytest.warns(UserWarning, match=r"P\[S_2 = 2\] underflowed to zero"):
-            assert relative_entropy_bound(fam, 2, 2, 1.0) == math.inf
+        want = 200 * math.log(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for L in (2, 3):
+                got = relative_entropy_bound(fam, L, L, 1.0)
+                assert abs(got - want) <= 4 * np.spacing(want)
 
     def test_small_totals_at_large_L(self):
         # the window [0, N] is scaled by its own peak: cell 5 of Binomial(1100, 1/2)

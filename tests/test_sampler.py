@@ -27,7 +27,13 @@ from pdlab import (
 )
 from pdlab.sampler import _check_draws
 
-from oracle import config_law, sample_configuration_by_item, sample_configurations_by_group, table_weight
+from oracle import (
+    config_law,
+    partition_by_from_masses,
+    sample_configuration_by_item,
+    sample_configurations_by_group,
+    table_weight,
+)
 
 TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
@@ -40,6 +46,10 @@ EDGE_CELLS = {
     "inclusion": (INCLUSION, 30, 60),
     "table_1_0_1": (WeightFamily.from_table([1.0, 0.0, 1.0]), 12, 16),
     "table_1e-200_1": (WeightFamily.from_table([1e-200, 1.0]), 12, 7),
+    # w(0) = 0: no site takes 0, so the scalar walk's n = 0 test never passes
+    "table_0_1_1": (WeightFamily.from_table([0.0, 1.0, 1.0]), 10, 15),
+    # 3 particles on 40 sites: the mass runs out after a few sites
+    "inclusion_40x3": (INCLUSION, 40, 3),
 }
 
 
@@ -474,6 +484,22 @@ class TestToPartition:
         for _ in range(100):
             cfg = sample_configuration(t, 6, 11, rng)
             assert to_partition(cfg).total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("cell", ["gap", "inclusion", "table_0_1_1"])
+    def test_masses_equal_from_masses(self, cell):
+        fam, L, N = EDGE_CELLS[cell]
+        t = build_logz(fam, L, N)
+        rng = SeededRng(12)
+        for _ in range(1_000):
+            cfg = sample_configuration(t, L, N, rng)
+            assert to_partition(cfg).masses == partition_by_from_masses(cfg.occupations).masses
+
+    @pytest.mark.parametrize(
+        "occ", [[0, 0, 7, 0], [5], [3, 3, 3, 3], [1] * 9], ids=["one_site", "one_of_one", "equal", "equal_ninths"]
+    )
+    def test_hand_cases_equal_from_masses(self, occ):
+        occ = np.array(occ)
+        assert to_partition(Configuration(occ)).masses == partition_by_from_masses(occ).masses
 
 
 class TestZeroFraction:
