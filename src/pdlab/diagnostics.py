@@ -16,6 +16,7 @@ from .partitions import (
     positive_size_biased,
 )
 from .report import DiagnosticsReport
+from .weights import LATTICE_TOL
 
 
 def condensed_fraction(table: LogZTable, L: int, N: int, eps: float) -> float:
@@ -29,7 +30,7 @@ def condensed_fraction(table: LogZTable, L: int, N: int, eps: float) -> float:
             "eps * N < 1: every occupied block counts as macroscopic", stacklevel=2
         )
     sb = size_biased_marginals(table, L, N)
-    n_min = int(math.floor(eps * N + 1e-9)) + 1
+    n_min = int(math.floor(eps * N + LATTICE_TOL)) + 1
     return float(sb[n_min:].sum())
 
 

@@ -20,6 +20,7 @@ import numpy as np
 
 from .report import DiagnosticsReport
 from .weights import (
+    LATTICE_TOL,
     NEG_INF,
     WeightFamily,
     limit_support,
@@ -239,7 +240,7 @@ def zratio_diagnostic(table: LogZTable, L: int, N: int, kappa: float) -> float:
     _check_cell(table, L, N)
     if not 0.0 <= kappa <= 1.0:
         raise ValueError("kappa must lie in [0, 1]")
-    n_low = int(math.floor((1.0 - kappa) * N + 1e-9))
+    n_low = int(math.floor((1.0 - kappa) * N + LATTICE_TOL))
     return float(np.exp(table.logz[L - 1, n_low] - table.logz[L, N]))
 
 
@@ -509,13 +510,14 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
 
     The sum's law is computed exactly by L-fold convolution of the truncated
     single-site law (log scale carried through the folds), on its first N + 1
-    cells.  An N outside the support, from L * k_min to L * n_trunc, is
-    reported as +inf with a warning.  Inside the support, when cell N of the
-    window underflows (P[S_L = N] far below the double range, as near an end
-    of the support), the law is re-tilted so that its mean is N / L (see
-    ``_retilt``) and folded again, which brings cell N back into range; only
-    a re-tilted cell that is still 0 is reported as +inf, with an
-    "underflowed" warning.
+    cells.  An N outside the support, from L * k_min to L * n_trunc, or off
+    its lattice, is reported as +inf with a warning before any fold: when the
+    n with w(n) phi^n > 0 lie on k0 + step Z, step > 1, the sum lies on
+    L k0 + step Z.  Inside the support, when cell N of the window underflows
+    (P[S_L = N] far below the double range, as near an end of the support),
+    the law is re-tilted so that its mean is N / L (see ``_retilt``) and
+    folded again, which brings cell N back into range; only a re-tilted cell
+    that is still 0 is reported as +inf, with an "underflowed" warning.
     """
     gc = grand_canonical_stats(family, L, phi)
     pmf = gc.pmf()
@@ -532,6 +534,17 @@ def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> 
         warnings.warn(
             f"P[S_{L} = {N}] is zero: N lies below the support, which starts at "
             f"L * k_min = {L * k_min}",
+            stacklevel=2,
+        )
+        return math.inf
+    # the sites' counts lie on k0 + step Z, so their sum lies on L k0 + step Z;
+    # read from the terms, since a pmf cell may underflow where w(n) phi^n > 0
+    ks = np.flatnonzero(gc.terms > NEG_INF)
+    k0, step = int(ks[0]), int(np.gcd.reduce(ks - ks[0]))
+    if step > 1 and (N - L * k0) % step:
+        warnings.warn(
+            f"P[S_{L} = {N}] is zero: N lies off the support's lattice "
+            f"L * {k0} + {step}Z",
             stacklevel=2,
         )
         return math.inf

@@ -3,9 +3,9 @@
 The continuous-time chain merges distinct blocks i, j at rate p_i p_j (over
 ordered pairs, so each unordered pair counts twice) and splits block i at a
 uniform point at rate theta p_i^2.  The lattice generator acts on partitions
-with masses in (1/N) Z and only moves blocks above a cutoff eps; its exact
-large-N limit, the cutoff generator, and the full generator are all available
-for the convergence and reversibility diagnostics.
+of N particles, in whole counts, and only moves blocks above a cutoff eps;
+its exact large-N limit, the cutoff generator, and the full generator are all
+available for the convergence and reversibility diagnostics.
 """
 
 from __future__ import annotations
@@ -24,9 +24,8 @@ from .ensembles import _check_cell, cached_logz
 from .partitions import OrderedPartition, _as_generator
 from .report import DiagnosticsReport
 from .sampler import Configuration, sample_configurations
-from .weights import WeightFamily
+from .weights import LATTICE_TOL, WeightFamily
 
-LATTICE_TOL = 1e-9
 # rows per lattice-kernel call: bounds the move arrays, a few hundred moves a row
 ROW_BATCH = 512
 MC_CHUNK = 20_000  # canonical draws per chunk of an mc defect; equal sorted rows share one h
@@ -190,31 +189,32 @@ def _tops_after(arr, owner, drop_i, drop_j, new_a, new_b, m: int) -> np.ndarray:
     return cands[:, ::-1][:, :m]
 
 
-def _move_sum(arr, fs, eps: float, merge_scale: float, owner, block, piece, weight):
+def _move_sum(sizes, fs, cut, unit, merge_scale: float, owner, block, piece, weight):
     """Per row, sum over its moves of weight * [f(p after the move) - f(p)], for each f in fs.
 
-    arr holds descending, zero-padded masses, one row per partition.  Each
-    row gets a null move of weight 0 first, whose value is f(p).  Merge moves
-    join each pair of blocks >= eps (every positive block when eps = 0), a
+    sizes holds descending, zero-padded block sizes, one row per partition:
+    particle counts on the lattice, masses in the continuum; f reads the
+    masses sizes / unit.  Each row gets a null move of weight 0 first, whose
+    value is f(p).  Merge moves join each pair of blocks of size >= cut, a
     prefix of the row, weight merge_scale * 2 p_i p_j.  Split move r replaces
-    block[r] of row owner[r] by piece[r] and the rest of the block, weight
-    weight[r].  Returns (applied values, base values f(p)), an array over the
-    rows for each f.
+    block[r] of row owner[r] by sizes piece[r] and the rest of the block,
+    weight weight[r].  Returns (applied values, base values f(p)), an array
+    over the rows for each f.
     """
     m = max(f.depends_on for f in fs)
-    rows = arr.shape[0]
-    n_big = (arr >= eps - LATTICE_TOL if eps > 0.0 else arr > 0.0).sum(axis=1)
+    rows = sizes.shape[0]
+    n_big = (sizes >= cut).sum(axis=1)
     pi, pj = np.triu_indices(n_big.max(initial=0), 1)
     mrow, pair = np.nonzero(pj < n_big[:, None])
     pi, pj = pi[pair], pj[pair]
-    a, b = arr[mrow, pi], arr[mrow, pj]
+    a, b = sizes[mrow, pi], sizes[mrow, pj]
     null = np.full(rows, m + 2)
     owners = np.concatenate((np.arange(rows), mrow, owner))
     drop_i, drop_j = np.concatenate((null, pi, block)), np.concatenate((null, pj, block))
     new_a = np.concatenate((np.zeros(rows), a + b, piece))
-    new_b = np.concatenate((np.zeros(rows + a.size), arr[owner, block] - piece))
-    tops = _tops_after(arr, owners, drop_i, drop_j, new_a, new_b, m)
-    wts = np.concatenate((np.zeros(rows), 2.0 * merge_scale * a * b, weight))
+    new_b = np.concatenate((np.zeros(rows + a.size), sizes[owner, block] - piece))
+    tops = _tops_after(sizes, owners, drop_i, drop_j, new_a, new_b, m) / unit
+    wts = np.concatenate((np.zeros(rows), 2.0 * merge_scale * (a / unit) * (b / unit), weight))
     vals = [f.evaluate_tops(tops) for f in fs]
     applied = [np.bincount(owners, weights=wts * (v - v[owners]), minlength=rows) for v in vals]
     return applied, [v[:rows] for v in vals]
@@ -266,7 +266,7 @@ def cutoff_generator_apply(
             pieces.append(np.maximum(us, 1.0 - us) * v)
             weights.append(theta * v * v * ws)
     block, piece, weight = (np.concatenate(parts) for parts in (blocks, pieces, weights))
-    applied, _ = _move_sum(arr[None, :], (f,), eps, 1.0, np.zeros_like(block), block, piece, weight)
+    applied, _ = _move_sum(arr[None, :], (f,), eps, 1.0, 1.0, np.zeros_like(block), block, piece, weight)
     return float(applied[0][0])
 
 
@@ -280,11 +280,14 @@ def _lattice_check(arr: np.ndarray, N: int) -> np.ndarray:
 def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
     """Lattice generator on rows of descending particle counts, for each f in fs.
 
-    Masses are counts / N; rows are zero-padded to width K.  Split move
-    (row, i, k) moves k particles of block i to a new block, for k from
-    ceil(eps N) to floor(c_i - eps N), with weight theta p_i / (N - 1);
-    merges carry the factor N / (N - 1).  Returns (applied values, base
-    values f(p)), one array over the rows for each f.
+    Rows are zero-padded to width K, and f reads the masses counts / N.  The
+    cutoff e = max(1, ceil(eps N)), with an eps N within LATTICE_TOL of an
+    integer read as that integer, is computed once: it is the one place where
+    eps meets the lattice.  Merges join blocks of >= e particles into one of
+    c_i + c_j, with the factor N / (N - 1).  Split move (row, i, k) moves k
+    particles of a block of c >= 2e to a new block, for k = e .. c - e, which
+    leaves pieces k and c - k, with weight theta (c / N) / (N - 1).  Returns
+    (applied values, base values f(p)), one array over the rows for each f.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -292,17 +295,14 @@ def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
         raise ValueError("N must be >= 2")
     if not 0.0 <= theta < math.inf:
         raise ValueError("theta must be >= 0 and finite")
-    arr = counts / N
-    row, block = np.nonzero((arr >= 2 * eps - LATTICE_TOL) & (theta != 0.0))
-    k_lo = max(1, math.ceil(eps * N - LATTICE_TOL))
-    c = counts[row, block]
-    k_hi = np.minimum(c - 1, np.floor(c - eps * N + LATTICE_TOL)).astype(np.int64)
-    # each (row, block) cell splits off k = k_lo .. k_hi: a run of that length per cell
-    run = np.maximum(k_hi - k_lo + 1, 0)
+    e = max(1, math.ceil(eps * N - LATTICE_TOL))
+    row, block = np.nonzero((counts >= 2 * e) & (theta != 0.0))
+    # each (row, block) cell splits off k = e .. c - e: a run of c - 2e + 1 per cell
+    run = counts[row, block] - (2 * e - 1)
     row, block = np.repeat(row, run), np.repeat(block, run)
-    k = k_lo + np.arange(row.size) - np.repeat(np.cumsum(run) - run, run)
-    weight = theta / (N - 1) * arr[row, block]
-    return _move_sum(arr, fs, eps, N / (N - 1), row, block, k / N, weight)
+    k = e + np.arange(row.size) - np.repeat(np.cumsum(run) - run, run)
+    weight = theta / (N - 1) * (counts[row, block] / N)
+    return _move_sum(counts, fs, e, N, N / (N - 1), row, block, k, weight)
 
 
 def discrete_generator_apply(
@@ -310,9 +310,9 @@ def discrete_generator_apply(
 ) -> float:
     """Apply the lattice split-merge generator at cutoff eps to f at p.
 
-    Masses must be multiples of 1/N.  Merges need both blocks >= eps; splits
-    act on blocks >= 2 eps and enumerate lattice split points k from
-    ceil(eps N) to floor(N (p_i - eps)).
+    Masses must be multiples of 1/N, read as particle counts: with e =
+    max(1, ceil(eps N)), merges need both blocks >= e particles, and a
+    block of c >= 2e particles splits into k and c - k for k = e .. c - e.
     """
     applied, _ = _lattice_apply(theta, N, eps, _lattice_check(p.as_array(), N)[None, :], (f,))
     return float(applied[0][0])

@@ -20,6 +20,9 @@ import numpy as np
 from .report import DiagnosticsReport
 
 NEG_INF = float("-inf")
+# slack, in particles, where a fraction of N becomes a whole count: an eps N a few
+# ulps off an integer (0.29 * 100 = 28.999999999999996) counts as that integer
+LATTICE_TOL = 1e-9
 
 _KINDS = ("inclusion", "bulk_tail", "table")
 
@@ -251,8 +254,8 @@ def assumption_report(
     sup_n [w(n-1) ^ w(n)] of the limiting weights with their unit shift, and a
     scan of (1/L) log w_L(aL) for a in {0.25, 0.5, 1.0}.
     """
-    # lo below is ceil(eps N - 1e-9), at most N when eps N <= N + 1e-9; NaN fails every test
-    if not (math.isfinite(eps) and 1 <= eps * N <= N + 1e-9):
+    # lo below is ceil(eps N - LATTICE_TOL), at most N when eps N <= N + LATTICE_TOL; NaN fails every test
+    if not (math.isfinite(eps) and 1 <= eps * N <= N + LATTICE_TOL):
         raise ValueError("eps must be finite with 1 <= eps * N and ceil(eps * N) <= N (empty supremum range)")
     if J < 0:
         raise ValueError("J must be >= 0")
@@ -262,7 +265,7 @@ def assumption_report(
     with np.errstate(invalid="ignore"):
         nwl = n * np.exp(logw) * L
 
-    lo = int(math.ceil(eps * N - 1e-9))
+    lo = int(math.ceil(eps * N - LATTICE_TOL))
     a3 = float(np.max(np.abs(nwl[lo : N + 1] - family.theta)))
     b3 = NEG_INF
     if J < N:

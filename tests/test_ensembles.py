@@ -448,11 +448,25 @@ class TestRelativeEntropy:
         assert math.log(tvec[N]) + t_scale + L * c == pytest.approx(direct, rel=1e-12)
 
     def test_retilted_cell_that_stays_zero_reports_inf(self):
-        # table [1, 0, 1]: an odd total is off the lattice 2Z, so the re-tilted
-        # window still holds 0 at N
+        # table [1, 0, 1]: an odd total is off the lattice 2Z, an exact 0 that no
+        # re-tilt would bring back; it is named before any fold
         fam = WeightFamily.from_table([1.0, 0.0, 1.0])
-        with pytest.warns(UserWarning, match=r"P\[S_301 = 301\] underflowed to zero \(support up to 602"):
+        off_lattice = r"P\[S_301 = 301\] is zero: N lies off the support's lattice L \* 0 \+ 2Z"
+        with pytest.warns(UserWarning, match=off_lattice) as seen:
             assert relative_entropy_bound(fam, 301, 301, 1.0) == math.inf
+        assert not [w for w in seen if "underflow" in str(w.message)]
+
+    def test_lattice_is_read_from_the_terms_not_the_pmf(self):
+        # table [1, 1e-300, 1]: w(1) phi > 0 puts every total on the lattice Z
+        fam = WeightFamily.from_table([1.0, 1e-300, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert relative_entropy_bound(fam, 301, 301, 1e-10) == pytest.approx(24.6212, rel=1e-5)
+        # at phi = 1e-30 the pmf's cell 1 (1e-330) underflows to 0: an underflow, not a lattice gap
+        assert grand_canonical_stats(fam, 301, 1e-30).pmf()[1] == 0.0
+        with pytest.warns(UserWarning, match=r"P\[S_301 = 301\] underflowed to zero") as seen:
+            assert relative_entropy_bound(fam, 301, 301, 1e-30) == math.inf
+        assert not [w for w in seen if "lattice" in str(w.message)]
 
     def test_mass_past_the_pmf_top_reports_inf(self):
         # phi = 1e-200 puts w(2) phi^2 = 1e-400 below the double range: the pmf

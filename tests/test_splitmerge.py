@@ -347,6 +347,26 @@ class TestDiscreteGenerator:
             expected_sq = (theta / 3) * ((0.5625 - 1) + (0.25 - 1) + (0.5625 - 1))
             assert got_sq == pytest.approx(expected_sq, abs=1e-12)
 
+    def test_merged_block_is_the_lattice_point(self):
+        # 2 + 1 particles merge into 3: mass 3/10, where 0.2 + 0.1 rounds above it
+        got = discrete_generator_apply(0.0, 10, 0.1, OrderedPartition((0.2, 0.1)), P1)
+        assert got == 2 * (10 / 9) * 0.2 * 0.1 * (3 / 10 - 0.2)
+
+    def test_split_pieces_are_lattice_points(self):
+        # 3 particles split into 2 + 1 or 1 + 2: p1 = 2/10, where 0.3 - 0.1 rounds below it
+        got = discrete_generator_apply(1.0, 10, 0.1, OrderedPartition((0.3,)), P1)
+        assert got == 2 * (1 / 9 * 0.3 * (0.2 - 0.3))
+
+    @pytest.mark.parametrize("theta", [0.0, 1.0])
+    def test_one_cutoff_for_merges_and_splits(self, theta):
+        # eps N = 1 + 5e-9 is cutoff e = 2 for both moves, as at eps = 0.2: the
+        # 1-particle block neither merges nor is split off
+        p = OrderedPartition((0.5, 0.1))
+        got = discrete_generator_apply(theta, 10, 0.1 + 5e-10, p, P1)
+        assert got == discrete_generator_apply(theta, 10, 0.2, p, P1)
+        if theta == 0.0:
+            assert got == 0.0
+
     def test_non_lattice_rejected(self):
         p = OrderedPartition.from_masses([0.55, 0.45])
         with pytest.raises(ValueError, match="multiples"):
@@ -389,21 +409,31 @@ class TestDiscreteGenerator:
 
 @st.composite
 def lattice_cases(draw):
-    """N, rows of descending counts (each total <= N) of different lengths, and a cutoff.
+    """N, rows of descending counts of different lengths, and a cutoff.
 
     The rows are zero-padded to one width, with up to three more zero
-    columns; some cutoffs lie on the 1/N grid.
+    columns.  N runs to 10^6, where c_i / N + c_j / N often differs from
+    (c_i + c_j) / N; a row holds at most 3000 particles, so the split moves
+    stay few.  Some cutoffs lie on the 1/N grid.  Past N = 120, eps N lies on
+    a count or at least 0.01 particle above one: the per-block reference
+    admits merges of blocks LATTICE_TOL N particles below eps N, a band the
+    kernel's integer cutoff ceil(eps N) leaves out.
     """
-    N = draw(st.integers(2, 120))
+    N = draw(st.integers(2, 120) | st.integers(121, 10**6))
+    top = min(N, 3000)
     rows = []
     for _ in range(draw(st.integers(1, 4))):
-        total = draw(st.integers(0, N))
+        total = draw(st.integers(0, top))
         cuts = draw(st.lists(st.integers(0, total), max_size=7))
         parts = np.diff(np.array(sorted([0, *cuts, total])))
         rows.append(sorted(parts[parts > 0].tolist(), reverse=True))
     width = max(map(len, rows)) + draw(st.integers(0, 3))
     counts = np.array([row + [0] * (width - len(row)) for row in rows], dtype=np.int64)
-    eps = draw(st.floats(1e-3, 0.6) | st.integers(1, 12).map(lambda j: j / N))
+    if N <= 120:
+        eps = draw(st.floats(1e-3, 0.6) | st.integers(1, 12).map(lambda j: j / N))
+    else:
+        count = draw(st.integers(1, 12) | st.integers(1, top // 2))
+        eps = (count + draw(st.just(0.0) | st.floats(0.01, 0.99))) / N
     return N, counts, eps
 
 
