@@ -23,8 +23,6 @@ from .weights import (
     LATTICE_TOL,
     NEG_INF,
     WeightFamily,
-    limit_support,
-    limit_weight_row,
     log_weight_row,
     weight_sup_distance,
 )
@@ -329,10 +327,8 @@ def grand_canonical_stats(family: WeightFamily, L: int | None, phi: float) -> Gr
 
 
 def critical_density(family: WeightFamily) -> float:
-    """First moment of the limiting weights, sum_n n w(n)."""
-    top = limit_support(family)
-    w = np.exp(limit_weight_row(family, top))
-    return float(np.dot(np.arange(top + 1, dtype=float), w))
+    """Mean of w normalised (nu_{rho_c} = w at phi = 1): the largest density ``invert_density`` attains."""
+    return grand_canonical_stats(family, None, 1.0).mean
 
 
 def invert_density(family: WeightFamily, L: int | None, rho: float) -> float:
@@ -401,8 +397,9 @@ def phi_sequence(family: WeightFamily, L: int) -> float:
 
 
 def _nonzero_head(a: np.ndarray) -> np.ndarray:
-    """a up to its last nonzero cell (a holds one)."""
-    return a[: np.flatnonzero(a)[-1] + 1]
+    """a up to its last nonzero cell; its first cell if a holds none."""
+    nz = np.flatnonzero(a)
+    return a[: nz[-1] + 1 if nz.size else 1]
 
 
 def _chernoff_horizon(p: np.ndarray, L: int, log_tail: float) -> int:
@@ -432,7 +429,7 @@ def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[
     """First H cells of the L-fold convolution of a pmf, scaled to peak 1, and its log scale.
 
     H is min(horizon, L * (p.size - 1) + 1), the full length when horizon is
-    None; p's first H cells must hold a nonzero one.  Binary exponentiation:
+    None.  Binary exponentiation:
     each fold cuts its operands to their first H cells and to their last
     nonzero cell (past it the folded laws hold cells that underflowed to
     exactly 0), correlates them longer operand first, the left one on a tie,
@@ -441,7 +438,8 @@ def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[
     and each sums nonnegative products, so the bound of ``_scaled_convolve``
     holds.  Leading zeros (w(0) = 0) are kept: dropping them moves where each
     dot product starts, and so the rounding near the peak.
-    A window in which every cell underflowed stays zero, with log scale -inf.
+    A window in which every cell underflowed, p's first H cells too, stays
+    zero, with log scale -inf.
     """
     size = L * (p.size - 1) + 1
     H = size if horizon is None else min(horizon, size)
@@ -468,8 +466,8 @@ def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[
     return np.pad(cells, (0, H - cells.size)), log_scale
 
 
-def _retilt(p: np.ndarray, L: int, N: int) -> tuple[np.ndarray, float]:
-    """p tilted so that its mean is N / L, and the log normaliser c of the tilt.
+def _retilt(logp: np.ndarray, L: int, N: int) -> tuple[np.ndarray, float]:
+    """The law with log-probabilities logp tilted so that its mean is N / L, and the log normaliser c.
 
     The tilt is e^{tn} with t = sL, written centred as e^{s(nL - N)}: the
     tilted law is p_t(n) = p(n) e^{s(nL - N) - c}.  Any L draws that sum to N
@@ -479,11 +477,10 @@ def _retilt(p: np.ndarray, L: int, N: int) -> tuple[np.ndarray, float]:
     of the tilted mean minus N / L, down to adjacent doubles.  The bracket
     doubles until that sign changes or the mean reaches N / L to the last
     bit, which at an end of the support happens only once every other cell
-    has underflowed next to the end cell.
+    has underflowed next to the end cell.  logp is taken as it is, so a cell
+    whose probability is below the double range keeps its weight.
     """
-    with np.errstate(divide="ignore"):  # log 0 = -inf where p is 0
-        logp = np.log(p)
-    k = np.arange(p.size, dtype=float) * L - N  # exact integers
+    k = np.arange(logp.size, dtype=float) * L - N  # exact integers
 
     def offset(s):  # L * (tilted mean) - N
         b = logp + s * k
@@ -505,62 +502,34 @@ def _retilt(p: np.ndarray, L: int, N: int) -> tuple[np.ndarray, float]:
     return np.exp(b - c), c
 
 
-def relative_entropy_bound(family: WeightFamily, L: int, N: int, phi: float) -> float:
+def relative_entropy_bound(table: LogZTable, L: int, N: int, phi: float) -> float:
     """Per-site relative-entropy bound -(1/L) log P[sum of L tilted draws = N].
 
-    The sum's law is computed exactly by L-fold convolution of the truncated
-    single-site law (log scale carried through the folds), on its first N + 1
-    cells.  An N outside the support, from L * k_min to L * n_trunc, or off
-    its lattice, is reported as +inf with a warning before any fold: when the
-    n with w(n) phi^n > 0 lie on k0 + step Z, step > 1, the sum lies on
-    L k0 + step Z.  Inside the support, when cell N of the window underflows
+    The tilted row log p(n) = log w(n) + n log phi - log z(phi) is taken over
+    n = 0..N, the only cells that can reach S_L = N, and its L-fold law is
+    computed exactly on its first N + 1 cells by ``_power_convolve``, the log
+    scale carried through the folds.  Like the marginal, the row and its
+    normaliser z(phi) use the table's pinned weight row w_{L_max}, also when
+    L < L_max.  A total that no configuration carries (Z_{L,N} = 0) is refused
+    by the table's exact test; at phi = 0 every site holds 0, so the bound is
+    0 at N = 0 and +inf past it.  When cell N of the window underflows
     (P[S_L = N] far below the double range, as near an end of the support),
-    the law is re-tilted so that its mean is N / L (see ``_retilt``) and
-    folded again, which brings cell N back into range; only a re-tilted cell
-    that is still 0 is reported as +inf, with an "underflowed" warning.
+    the row is re-tilted in log space so that its mean is N / L (see
+    ``_retilt``) and folded again, which brings cell N back into range; a
+    re-tilted cell that is still 0 raises FloatingPointError.
     """
-    gc = grand_canonical_stats(family, L, phi)
-    pmf = gc.pmf()
-    support = np.flatnonzero(pmf)
-    k_min, k_max = int(support[0]), int(support[-1])
-    if N > L * gc.n_trunc:
-        warnings.warn(
-            f"P[S_{L} = {N}] is zero: N lies past the support, which ends at "
-            f"L * n_trunc = {L * gc.n_trunc} (truncation at n = {gc.n_trunc})",
-            stacklevel=2,
-        )
-        return math.inf
-    if N < L * k_min:
-        warnings.warn(
-            f"P[S_{L} = {N}] is zero: N lies below the support, which starts at "
-            f"L * k_min = {L * k_min}",
-            stacklevel=2,
-        )
-        return math.inf
-    # the sites' counts lie on k0 + step Z, so their sum lies on L k0 + step Z;
-    # read from the terms, since a pmf cell may underflow where w(n) phi^n > 0
-    ks = np.flatnonzero(gc.terms > NEG_INF)
-    k0, step = int(ks[0]), int(np.gcd.reduce(ks - ks[0]))
-    if step > 1 and (N - L * k0) % step:
-        warnings.warn(
-            f"P[S_{L} = {N}] is zero: N lies off the support's lattice "
-            f"L * {k0} + {step}Z",
-            stacklevel=2,
-        )
-        return math.inf
-    vec, log_scale = _power_convolve(pmf, L, N + 1)
-    # past L * k_max the pmf's top cells underflowed, and no tilt has a mean there
-    if vec[N] <= 0.0 and N <= L * k_max:
-        tilted, c = _retilt(pmf, L, N)
+    gc = grand_canonical_stats(table.family, table.L_max, phi)
+    _check_cell(table, L, N)
+    if phi == 0.0:
+        return 0.0 if N == 0 else math.inf
+    logp = table.log_w[: N + 1] + math.log(phi) * np.arange(N + 1) - gc.log_z
+    vec, log_scale = _power_convolve(np.exp(logp), L, N + 1)
+    if vec[N] <= 0.0:
+        tilted, c = _retilt(logp, L, N)
         vec, log_scale = _power_convolve(tilted, L, N + 1)
         log_scale += L * c
     if vec[N] <= 0.0:
-        warnings.warn(
-            f"P[S_{L} = {N}] underflowed to zero (support up to {L * gc.n_trunc}, "
-            f"truncation at n = {gc.n_trunc})",
-            stacklevel=2,
-        )
-        return math.inf
+        raise FloatingPointError(f"P[S_{L} = {N}] underflowed to zero after the re-tilt")
     return -(math.log(vec[N]) + log_scale) / L
 
 

@@ -282,20 +282,21 @@ def _lattice_apply(theta: float, N: int, eps: float, counts: np.ndarray, fs):
 
     Rows are zero-padded to width K, and f reads the masses counts / N.  The
     cutoff e = max(1, ceil(eps N)), with an eps N within LATTICE_TOL of an
-    integer read as that integer, is computed once: it is the one place where
-    eps meets the lattice.  Merges join blocks of >= e particles into one of
-    c_i + c_j, with the factor N / (N - 1).  Split move (row, i, k) moves k
+    integer read as that integer and an eps N past N + 1 read as N + 1, is
+    computed once: it is the one place where eps meets the lattice.  Merges
+    join blocks of >= e particles into one of c_i + c_j, with the factor
+    N / (N - 1).  Split move (row, i, k) moves k
     particles of a block of c >= 2e to a new block, for k = e .. c - e, which
     leaves pieces k and c - k, with weight theta (c / N) / (N - 1).  Returns
     (applied values, base values f(p)), one array over the rows for each f.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     if N < 2:
         raise ValueError("N must be >= 2")
     if not 0.0 <= theta < math.inf:
         raise ValueError("theta must be >= 0 and finite")
-    e = max(1, math.ceil(eps * N - LATTICE_TOL))
+    e = max(1, math.ceil(min(eps * N, N + 1) - LATTICE_TOL))
     row, block = np.nonzero((counts >= 2 * e) & (theta != 0.0))
     # each (row, block) cell splits off k = e .. c - e: a run of c - 2e + 1 per cell
     run = counts[row, block] - (2 * e - 1)

@@ -223,7 +223,7 @@ class TestCriterion6EquivalenceOfEnsembles:
         for L in (32, 128, 512):
             N = L // 4
             table = build_logz(BULK, L, N)
-            ents.append(relative_entropy_bound(BULK, L, N, phi))
+            ents.append(relative_entropy_bound(table, L, N, phi))
             tvs.append(tv_distance_marginal(table, L, N, phi))
         assert strictly_decreasing(ents)
         assert strictly_decreasing(tvs)

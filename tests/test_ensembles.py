@@ -33,6 +33,7 @@ from pdlab import (
 from pdlab import cli, ensembles
 from pdlab.cli import main
 from pdlab.ensembles import _tilted_terms
+from pdlab.weights import log_weight_row
 
 from oracle import (
     build_logz_masked_rows,
@@ -51,6 +52,7 @@ TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
 BULK = WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5])
 INCLUSION05 = WeightFamily.inclusion(0.5)
 BERNOULLI = WeightFamily.from_table([0.5, 0.5])
+GAP = WeightFamily.bulk_tail(1.0, 2, [0.5, 0.0, 0.5])
 
 
 # the families and sizes the linear kernel is checked on
@@ -339,7 +341,7 @@ class TestGrandCanonical:
     @pytest.mark.parametrize(
         "diagnostic",
         [
-            lambda: relative_entropy_bound(BULK, 20, 10, 0.6),
+            lambda: relative_entropy_bound(build_logz(BULK, 20, 10), 20, 10, 0.6),
             lambda: tv_distance_marginal(build_logz(BULK, 20, 10), 20, 10, 0.6),
             lambda: local_clt_report(BULK, 20),
         ],
@@ -400,38 +402,63 @@ class TestPhiSequence:
         assert 1.0 - phi < 1e-15
 
 
+def entropy_bound(family, L, N, phi):
+    """relative_entropy_bound on the log Z table built at (L, N)."""
+    return relative_entropy_bound(build_logz(family, L, N), L, N, phi)
+
+
+def oracle_entropy_bound(family, L, N, phi):
+    """-(1/L) log P[S_L = N] = -(1/L) (log Z_{L,N} + N log phi - L log z(phi)), Z in log space."""
+    log_z = grand_canonical_stats(family, L, phi).log_z
+    grid = log_space_grid(np.asarray(log_weight_row(family, L, N)), L)
+    return -(grid[L, N] + N * math.log(phi) - L * log_z) / L
+
+
+def tilted_row(family, L, N, phi):
+    """log w_L(n) + n log phi - log z(phi) for n = 0..N, the row relative_entropy_bound folds."""
+    log_z = grand_canonical_stats(family, L, phi).log_z
+    return np.asarray(log_weight_row(family, L, N)) + math.log(phi) * np.arange(N + 1) - log_z
+
+
 class TestRelativeEntropy:
     def test_single_factor(self):
         # one Bernoulli(1/2) site: bound is -log 1/2 at N = 1
-        val = relative_entropy_bound(BERNOULLI, 1, 1, 1.0)
+        val = entropy_bound(BERNOULLI, 1, 1, 1.0)
         assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_binomial_two_sites(self):
-        val = relative_entropy_bound(BERNOULLI, 2, 1, 1.0)
+        val = entropy_bound(BERNOULLI, 2, 1, 1.0)
         assert val == pytest.approx(-0.5 * math.log(0.5), abs=1e-12)
 
     def test_decreasing_in_L_at_fixed_density(self):
         phi = invert_density(BULK, None, 0.25)
-        vals = [relative_entropy_bound(BULK, L, L // 4, phi) for L in (32, 128, 512)]
+        vals = [entropy_bound(BULK, L, L // 4, phi) for L in (32, 128, 512)]
         assert vals[0] > vals[1] > vals[2]
 
-    def test_unreachable_mass_reports_inf(self):
-        # two sites of at most one particle each carry at most 2: nothing underflowed
-        fam = WeightFamily.from_table([1.0, 1.0])
-        with pytest.warns(UserWarning, match="past the support, which ends at L \\* n_trunc = 2") as seen:
-            assert relative_entropy_bound(fam, 2, 40, 1.0) == math.inf
-        assert not [w for w in seen if "underflow" in str(w.message)]
+    @pytest.mark.parametrize(
+        "weights,L,N,phi",
+        [([1.0, 1.0], 2, 40, 1.0), ([1.0, 0.0, 1.0], 301, 301, 1.0), ([0.0, 1.0, 1.0], 8, 2, 0.5)],
+        ids=["past_the_top", "off_the_lattice", "below_the_support"],
+    )
+    def test_unreachable_total_is_refused(self, weights, L, N, phi):
+        # two sites of at most one particle carry at most 2; an odd total is off
+        # the lattice 2Z; eight sites of at least one particle carry at least 8
+        fam = WeightFamily.from_table(weights)
+        with pytest.warns(UserWarning, match="exactly zero"):
+            table = build_logz(fam, L, N)
+        with pytest.raises(ValueError, match="exactly zero"):
+            relative_entropy_bound(table, L, N, phi)
 
     def test_underflowed_mass_is_retilted(self):
         # P[S_1100 = 1100] = 2^-1100 lies inside the support and below the smallest
         # double; the re-tilted law puts it back in range, so the bound is ln 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = relative_entropy_bound(BERNOULLI, 1100, 1100, 1.0)
+            got = entropy_bound(BERNOULLI, 1100, 1100, 1.0)
             assert abs(got - math.log(2)) <= 4 * np.spacing(math.log(2))
             # one step inside the top end: P = 1100 * 2^-1100 is subnormal-small too
             want = -(math.log(1100) - 1100 * math.log(2)) / 1100
-            got = relative_entropy_bound(BERNOULLI, 1100, 1099, 1.0)
+            got = entropy_bound(BERNOULLI, 1100, 1099, 1.0)
             assert abs(got - want) <= 4 * np.spacing(want)
 
     @pytest.mark.parametrize("L,N", [(32, 3), (32, 8), (32, 40), (128, 20), (7, 7)])
@@ -439,48 +466,48 @@ class TestRelativeEntropy:
         # log P[S_L = N] = log P_t[S_L = N] + L c holds for every tilt; where the
         # direct window does not underflow both routes agree to rounding
         phi = invert_density(BULK, None, 0.25)
-        pmf = grand_canonical_stats(BULK, L, phi).pmf()
-        vec, log_scale = ensembles._power_convolve(pmf, L, N + 1)
-        tilted, c = ensembles._retilt(pmf, L, N)
+        logp = tilted_row(BULK, L, N, phi)
+        vec, log_scale = ensembles._power_convolve(np.exp(logp), L, N + 1)
+        tilted, c = ensembles._retilt(logp, L, N)
         assert abs(np.dot(np.arange(tilted.size), tilted) / tilted.sum() - N / L) < 1e-9
         tvec, t_scale = ensembles._power_convolve(tilted, L, N + 1)
         direct = math.log(vec[N]) + log_scale
         assert math.log(tvec[N]) + t_scale + L * c == pytest.approx(direct, rel=1e-12)
-
-    def test_retilted_cell_that_stays_zero_reports_inf(self):
-        # table [1, 0, 1]: an odd total is off the lattice 2Z, an exact 0 that no
-        # re-tilt would bring back; it is named before any fold
-        fam = WeightFamily.from_table([1.0, 0.0, 1.0])
-        off_lattice = r"P\[S_301 = 301\] is zero: N lies off the support's lattice L \* 0 \+ 2Z"
-        with pytest.warns(UserWarning, match=off_lattice) as seen:
-            assert relative_entropy_bound(fam, 301, 301, 1.0) == math.inf
-        assert not [w for w in seen if "underflow" in str(w.message)]
 
     def test_lattice_is_read_from_the_terms_not_the_pmf(self):
         # table [1, 1e-300, 1]: w(1) phi > 0 puts every total on the lattice Z
         fam = WeightFamily.from_table([1.0, 1e-300, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert relative_entropy_bound(fam, 301, 301, 1e-10) == pytest.approx(24.6212, rel=1e-5)
-        # at phi = 1e-30 the pmf's cell 1 (1e-330) underflows to 0: an underflow, not a lattice gap
-        assert grand_canonical_stats(fam, 301, 1e-30).pmf()[1] == 0.0
-        with pytest.warns(UserWarning, match=r"P\[S_301 = 301\] underflowed to zero") as seen:
-            assert relative_entropy_bound(fam, 301, 301, 1e-30) == math.inf
-        assert not [w for w in seen if "lattice" in str(w.message)]
+            assert entropy_bound(fam, 301, 301, 1e-10) == pytest.approx(24.6212, rel=1e-5)
+            # at phi = 1e-30 the pmf's cell 1 (1e-330) underflows to 0, but the
+            # tilted row keeps it in log space, and the re-tilt brings it back
+            assert grand_canonical_stats(fam, 301, 1e-30).pmf()[1] == 0.0
+            got = entropy_bound(fam, 301, 301, 1e-30)
+        want = oracle_entropy_bound(fam, 301, 301, 1e-30)
+        assert got == pytest.approx(70.6729108608753, rel=1e-14)
+        assert got == pytest.approx(want, rel=1e-13)
 
-    def test_mass_past_the_pmf_top_reports_inf(self):
-        # phi = 1e-200 puts w(2) phi^2 = 1e-400 below the double range: the pmf
-        # ends at k_max = 1, no tilt has mean 2, and N = L * n_trunc underflowed
+    def test_mass_past_the_pmf_top_is_exact(self):
+        # phi = 1e-200 puts w(2) phi^2 = 1e-400 below the double range, but only
+        # S_3 = 6 = 2 + 2 + 2 reaches N: P = (1e-400 / z)^3 and the bound 400 ln 10
         fam = WeightFamily.from_table([1.0, 1.0, 1.0])
-        with pytest.warns(UserWarning, match=r"P\[S_3 = 6\] underflowed to zero \(support up to 6"):
-            assert relative_entropy_bound(fam, 3, 6, 1e-200) == math.inf
+        want = 400 * math.log(10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = entropy_bound(fam, 3, 6, 1e-200)
+        assert abs(got - want) <= 4 * np.spacing(want)
 
-    def test_mass_below_the_support_reports_inf(self):
-        # table [0, 1, 1]: every site holds >= 1, so 8 sites carry at least 8
-        fam = WeightFamily.from_table([0.0, 1.0, 1.0])
-        with pytest.warns(UserWarning, match="below the support, which starts at L \\* k_min = 8") as seen:
-            assert relative_entropy_bound(fam, 8, 2, 0.5) == math.inf
-        assert not [w for w in seen if "underflow" in str(w.message)]
+    @pytest.mark.parametrize(
+        "family,L,N,phi",
+        [(BULK, 64, 200, 0.5), (BULK, 100, 400, 0.3), (GAP, 50, 150, 0.6), (INCLUSION05, 40, 120, 0.7)],
+        ids=["bulk_tail_64", "bulk_tail_100", "gap", "inclusion"],
+    )
+    def test_condensed_regime_matches_the_log_space_grid(self, family, L, N, phi):
+        # N lies far above the tilted law's bulk, where a law cut at n_trunc
+        # would miss the cells that carry the mass
+        got = entropy_bound(family, L, N, phi)
+        assert got == pytest.approx(oracle_entropy_bound(family, L, N, phi), rel=1e-13)
 
     def test_underflowed_window_is_retilted(self):
         # P[S_L = L] = p(1)^L with p(1) = 1e-200 / (1 + 1e-200): the window's one
@@ -491,28 +518,37 @@ class TestRelativeEntropy:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for L in (2, 3):
-                got = relative_entropy_bound(fam, L, L, 1.0)
+                got = entropy_bound(fam, L, L, 1.0)
                 assert abs(got - want) <= 4 * np.spacing(want)
+
+    def test_window_with_no_nonzero_cell_is_retilted(self):
+        # 1000 equal weights at phi = 1e300: p(0) and p(1), about 1e300^-999 and
+        # 1e300^-998, both underflow, so the window [0, 1] holds no nonzero cell;
+        # the re-tilt puts the law on n = 1, and -log P = 998 log 1e300
+        fam = WeightFamily.from_table([1.0] * 1000)
+        want = 998 * math.log(1e300)
+        got = entropy_bound(fam, 1, 1, 1e300)
+        assert abs(got - want) <= 4 * np.spacing(want)
 
     def test_small_totals_at_large_L(self):
         # the window [0, N] is scaled by its own peak: cell 5 of Binomial(1100, 1/2)
         # is 4e-317 of the whole law's peak (subnormal), and cell 0 underflows there
         L = 1100
         want = -(math.log(math.comb(L, 5)) - L * math.log(2)) / L
-        got = relative_entropy_bound(BERNOULLI, L, 5, 1.0)
+        got = entropy_bound(BERNOULLI, L, 5, 1.0)
         assert abs(got - want) <= 4 * np.spacing(want)
-        assert relative_entropy_bound(BERNOULLI, L, 0, 1.0) == math.log(2)
+        assert entropy_bound(BERNOULLI, L, 0, 1.0) == math.log(2)
 
     @pytest.mark.parametrize("L,N,phi", [(512, 900, 0.5), (256, 2000, 0.9), (100, 400, 0.3)])
     def test_mass_past_the_first_horizon(self, L, N, phi):
         # N + 1 lies past the Chernoff horizon, so the window holds the law's peak
-        p = grand_canonical_stats(BULK, L, phi).pmf()
+        p = np.exp(tilted_row(BULK, L, N, phi))
         horizon = ensembles._chernoff_horizon(p, L, -64 * math.log(2) - math.log(L * (p.size - 1) + 1))
         assert N >= horizon
         vec, log_scale = span_power_convolve(p, L)
         assert vec[N] > 0.0
         want = -(math.log(vec[N]) + log_scale) / L
-        assert same_bits(relative_entropy_bound(BULK, L, N, phi), want)
+        assert same_bits(entropy_bound(BULK, L, N, phi), want)
 
 
 class TestTvDistance:
@@ -595,6 +631,15 @@ class TestCriticalDensity:
         assert critical_density(INCLUSION05) == 0.0
         assert critical_density(BULK) == pytest.approx(0.5)
         assert critical_density(WeightFamily.from_table([1.0])) == 0.0
+        # the mean of w normalised, nu_{rho_c} = w, whether or not w sums to 1
+        assert critical_density(TABLE111) == 1.0
+        assert critical_density(WeightFamily.from_table([0.2, 0.3])) == pytest.approx(0.6, rel=1e-15)
+
+    def test_bounds_the_densities_invert_density_attains(self):
+        rho_c = critical_density(TABLE111)
+        assert 0.0 < invert_density(TABLE111, None, 0.999 * rho_c) < 1.0
+        with pytest.raises(SupercriticalDensityError, match="exceeds the critical density"):
+            invert_density(TABLE111, None, 1.001 * rho_c)
 
 
 class TestZRatio:
@@ -682,7 +727,6 @@ def full_power_convolve(p, L):
     return result, log_result
 
 
-GAP = WeightFamily.bulk_tail(1.0, 2, [0.5, 0.0, 0.5])
 FOLD_FAMILIES = [BULK, GAP, INCLUSION05, WeightFamily.from_table([0.0, 1.0, 1.0]),
                  WeightFamily.from_table([1.0]), BERNOULLI]
 FOLD_IDS = ["bulk_tail", "gap", "inclusion", "table011", "point", "bernoulli"]

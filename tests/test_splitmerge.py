@@ -367,6 +367,12 @@ class TestDiscreteGenerator:
         if theta == 0.0:
             assert got == 0.0
 
+    @pytest.mark.parametrize("eps", [1.1, 1e300, 1.7e308])
+    def test_cutoff_past_n_admits_no_move(self, eps):
+        # e = N + 1 at any eps N past N + 1, also where eps N overflows to inf
+        p = OrderedPartition((0.5, 0.3, 0.2))
+        assert discrete_generator_apply(1.0, 10, eps, p, P1) == 0.0
+
     def test_non_lattice_rejected(self):
         p = OrderedPartition.from_masses([0.55, 0.45])
         with pytest.raises(ValueError, match="multiples"):
@@ -969,7 +975,8 @@ class TestReversibilityDefect:
 
     @pytest.mark.parametrize("mode", ["exact", "mc"])
     @pytest.mark.parametrize(
-        "L,N,eps,theta", [(1, 1, 0.1, 1.0), (3, 6, -0.3, 1.0), (3, 6, 0.1, -2.0), (3, 6, 0.1, math.inf)]
+        "L,N,eps,theta",
+        [(1, 1, 0.1, 1.0), (3, 6, -0.3, 1.0), (3, 6, 0.1, -2.0), (3, 6, 0.1, math.inf), (3, 6, math.inf, 1.0)],
     )
     def test_lattice_parameters_rejected(self, mode, L, N, eps, theta):
         with pytest.raises(ValueError):
