@@ -102,7 +102,7 @@ def stick_breaking(
     to the end of the 64-column block, or ``K_MAX``, in which the remainder
     fell below ``TRUNC_EPS``; the remainder is reported, never silently dropped.
     """
-    pieces, residual = stick_breaking_batch(theta, alpha, 1, rng)
+    pieces, residual = _stick_breaking_batch(theta, alpha, 1, rng)
     gem = pieces[0][pieces[0] > 0].tolist()
     return StickBreakingResult(tuple(gem), OrderedPartition.from_masses(gem), float(residual[0]))
 
@@ -132,6 +132,11 @@ def stick_breaking_batch(
     A result past ``STICK_MAX_BYTES`` (theta near 1e300 runs every row to
     ``K_MAX`` columns) raises FloatingPointError before it is allocated.
     """
+    return _stick_breaking_batch(theta, alpha, count, rng)
+
+
+def _stick_breaking_batch(theta: float, alpha: float, count: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    # the body of both public functions, so a traced stick_breaking counts once
     if not 0 < theta < math.inf:
         raise ValueError("theta must be positive and finite")
     if not 0 < alpha <= 1:

@@ -25,7 +25,7 @@ from pdlab import (
     to_partition,
     zero_fraction_stats,
 )
-from pdlab.sampler import _check_draws
+from pdlab.sampler import HEAD, _check_draws
 
 from oracle import (
     config_law,
@@ -233,6 +233,17 @@ class TestScalarPath:
 class TestBatchMatchesGroupLoop:
     """The one-matrix-per-site batch draw against the per-remainder loop it replaced."""
 
+    @staticmethod
+    def _assert_equal_draws(fam, L, N, count, seed):
+        t = build_logz(fam, L, N)
+        got_rng, want_rng = SeededRng(seed), SeededRng(seed)
+        got = sample_configurations(t, L, N, count, got_rng)
+        want = sample_configurations_by_group(t.logz, t.log_w, L, N, count, want_rng.generator)
+        assert np.array_equal(got, want)
+        # both read one uniform per lane and site, so the streams stay in step
+        assert got_rng.generator.random() == want_rng.generator.random()
+        return got
+
     @given(
         cell=st.sampled_from(sorted(EDGE_CELLS)),
         seed=st.integers(0, 2**32 - 1),
@@ -242,14 +253,7 @@ class TestBatchMatchesGroupLoop:
     @example(cell="gap", seed=76, count=500)
     @settings(max_examples=30, deadline=None)
     def test_draws_equal_group_loop(self, cell, seed, count):
-        fam, L, N = EDGE_CELLS[cell]
-        t = build_logz(fam, L, N)
-        got_rng, want_rng = SeededRng(seed), SeededRng(seed)
-        got = sample_configurations(t, L, N, count, got_rng)
-        want = sample_configurations_by_group(t.logz, t.log_w, L, N, count, want_rng.generator)
-        assert np.array_equal(got, want)
-        # both read one uniform per lane and site, so the streams stay in step
-        assert got_rng.generator.random() == want_rng.generator.random()
+        self._assert_equal_draws(*EDGE_CELLS[cell], count, seed)
 
     @pytest.mark.parametrize("cell", EDGE_CELLS.values(), ids=EDGE_CELLS.keys())
     def test_rounded_up_targets_clamp_like_group_loop(self, cell):
@@ -282,6 +286,37 @@ class TestBatchMatchesGroupLoop:
         want = sample_configurations_by_group(t.logz, t.log_w, L, N, 500, SeededRng(8).generator)
         assert np.array_equal(got, want)
         assert (got[:, 2:].sum(axis=1) == 0).all() and (got[:, 0] < N).any()
+
+    @pytest.mark.parametrize("fam, L, N", [(GAP, 200, 400), (INCLUSION, 100, 200)], ids=["gap", "inclusion"])
+    def test_benchmark_sizes_equal_group_loop(self, fam, L, N):
+        # most lanes settle on the head cells, a few search their row
+        occ = self._assert_equal_draws(fam, L, N, 10_000, 1)[:, :-1]
+        assert 0 < (occ >= HEAD).mean() < 0.1
+
+    def test_dense_family_equals_group_loop(self):
+        # a flat weight on 0..40: most draws take n >= HEAD and search the matrix
+        occ = self._assert_equal_draws(WeightFamily.from_table([1.0] * 41), 20, 400, 2_000, 2)[:, :-1]
+        assert (occ >= HEAD).mean() > 0.9
+
+    @pytest.mark.parametrize("table, L, N", [([1.0, 1.0], 2, 1), ([1.0] * 3, 3, 2), ([1.0] * 3, 4, 3)])
+    @pytest.mark.parametrize("count", [1, 500])
+    def test_rows_narrower_than_the_head_equal_group_loop(self, table, L, N, count):
+        # every remainder r < HEAD, or the row ends before the head does
+        self._assert_equal_draws(WeightFamily.from_table(table), L, N, count, 4)
+
+    def test_narrow_row_that_underflows_takes_r(self):
+        # table [1, 1] at (3, 1): the first site's row is two cells wide, and a
+        # grid whose row 2 is e^1000 times too small makes it underflow to zero;
+        # both cells then sit at the target 0, and the lane takes r = 1, not 2
+        L, N = 3, 1
+        t = build_logz(WeightFamily.from_table([1.0, 1.0]), L, N)
+        logz = t.logz.copy()
+        logz[L - 1] -= 1e3
+        t = dataclasses.replace(t, logz=logz)
+        got = sample_configurations(t, L, N, 50, SeededRng(5))
+        want = sample_configurations_by_group(t.logz, t.log_w, L, N, 50, SeededRng(5).generator)
+        assert np.array_equal(got, want)
+        assert (got[:, 0] == 1).all()
 
     def test_lanes_that_run_out_early_stay_equal(self):
         # w(0) = 1e-200 at 12 sites and 7 particles: lanes spend their mass
