@@ -60,21 +60,7 @@ class LogZTable:
         return 1 <= L <= self.L_max and 0 <= N <= self.N_max
 
 
-def _scaled_convolve(a: np.ndarray, log_a: float, b_rev: np.ndarray, log_b: float):
-    """Convolution of exp(log_a) * a and exp(log_b) * b as (vector, log offset, peak index).
-
-    The vector's peak cell is exactly 1.  b comes reversed: ``np.correlate(a,
-    b_rev)`` runs the dot products of ``np.convolve(a, b)``, longer operand
-    first, so a fixed b is reversed once.  All terms are nonnegative, so every
-    cell is exact to a relative error of its length times the rounding unit
-    unless a term underflows.  Zero tails stay: cutting them moves where each
-    dot product starts, and so last bits (12 cells of the 100 x 200 [1, 1, 1] grid).
-    """
-    if a.size < b_rev.size:
-        a, b_rev = b_rev[::-1], a[::-1]
-    out = np.correlate(a, b_rev, "full")
-    peak = out[at := int(out.argmax())]
-    return np.divide(out, peak, out=out), log_a + log_b + math.log(peak), at
+_ROW_BLOCK = 32  # cells per block of a log Z row's matrix product
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None):
@@ -94,12 +80,16 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
 def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     """The full log Z grid up to (L, N), each row l written once.
 
-    Row l is the log of row l - 1 convolved with the weight row in linear space,
-    both scaled to maximum 1, plus the offsets, whose sum is the row's maximum when
-    the convolution peaks at n <= N.  A term below the smallest normal double removes
-    at most (N+1) * tiny from a cell, so a cell scaled below (N+1) * tiny / eps is
-    reset to -inf and, if n <= l * max(ks) lies in the sumset of ks and row l - 1's
-    finite cells, gets a log-sum-exp over ks.
+    Row l is the log of the first N + 1 cells of row l - 1 convolved with the
+    weight row in linear space, both scaled to maximum 1, plus the offsets.  The
+    cells come as one matrix product: with B = _ROW_BLOCK and M = N + 1 rounded up
+    to a multiple of B, block q of B cells is the window of M cells from qB of
+    the scaled row (placed at M - B in a zero-padded buffer) times the (M x B)
+    Toeplitz block KT[J, r] = w[r - J + M - B], 0 outside 0..N.  A term below
+    the smallest normal double removes at most (N+1) * tiny from a cell, so a
+    cell below (N+1) * tiny / eps, on that product's scale, is reset to -inf
+    and, if n <= l * max(ks) lies in the sumset of ks and row l - 1's finite
+    cells, gets a log-sum-exp over ks.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -111,7 +101,16 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     grid[1] = logw
     ks = np.flatnonzero(logw > NEG_INF)
     w_off = logw.max() if ks.size else 0.0
-    w_rev = np.exp(logw[::-1] - w_off)
+    B = _ROW_BLOCK
+    M = -(-(N + 1) // B) * B
+    w = np.zeros(2 * M - 1)  # w(n) at M - 1 + n, so row J of KT is the window from 2M - B - 1 - J
+    w[M - 1 : M + N] = np.exp(logw - w_off)
+    KT = np.lib.stride_tricks.sliding_window_view(w, B)[M - B : 2 * M - B][::-1].copy()
+    buf = np.zeros(2 * M - B)
+    scaled = buf[M - B : M - B + N + 1]
+    windows = np.lib.stride_tricks.sliding_window_view(buf, M)[::B]
+    left, prod = np.empty((M // B, M)), np.empty((M // B, B))
+    lin = prod.reshape(-1)[: N + 1]
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     off = grid[1].max()  # not w_off: a weight row of -inf leaves every later row empty
     with np.errstate(divide="ignore"):  # log 0 = -inf, in a cell below the floor
@@ -119,13 +118,12 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
             if off == NEG_INF:
                 break  # every later row is empty too
             prev, row = grid[l - 1], grid[l]
-            # row l holds exp(prev - off) until the convolution is written over it
-            np.exp(np.subtract(prev, off, out=row), out=row)
-            lin, log_scale, at = _scaled_convolve(row, off, w_rev, w_off)
-            lin = lin[: N + 1]
-            np.add(np.log(lin, out=row), log_scale, out=row)
+            np.exp(np.subtract(prev, off, out=scaled), out=scaled)
+            np.copyto(left, windows)
+            np.matmul(left, KT, out=prod)
+            np.add(np.log(lin, out=row), off + w_off, out=row)
             if lin.min() >= floor:
-                off = log_scale if at <= N else row.max()
+                off = row.max()
                 continue
             n = np.flatnonzero(lin < floor)
             row[n] = NEG_INF
@@ -435,9 +433,10 @@ def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[
     exactly 0), correlates them longer operand first, the left one on a tie,
     and keeps the first H cells scaled by their own peak.  A cell below H
     depends only on the operands' cells below H, whatever the summation order,
-    and each sums nonnegative products, so the bound of ``_scaled_convolve``
-    holds.  Leading zeros (w(0) = 0) are kept: dropping them moves where each
-    dot product starts, and so the rounding near the peak.
+    and each sums nonnegative products, so it is exact to a relative error of
+    its length times the rounding unit unless a term underflows.  Leading
+    zeros (w(0) = 0) are kept: dropping them moves where each dot product
+    starts, and so the rounding near the peak.
     A window in which every cell underflowed, p's first H cells too, stays
     zero, with log scale -inf.
     """

@@ -15,8 +15,10 @@ must match, and the reference reversibility defect walks every
 configuration with the per-block lattice generator.
 
 The last oracles are earlier forms of hot loops, kept as the code the
-library must reproduce bit for bit: the log Z build that splits each row
-into the cells above and below the floor by boolean masks, stick-breaking
+library must reproduce bit for bit: the log Z build that forms each row by
+the blocked matrix product, written out, and splits it into the cells above
+and below the floor by boolean masks (its earlier ``np.convolve`` row is kept
+beside it as the reference to rounding), stick-breaking
 that draws and fills each 64-column block for all rows at once, the batch
 sampler with one cumsum and searchsorted per (site, remainder) group, the
 scalar sampler reading the grid with one ``ndarray.item`` call per term and
@@ -42,7 +44,7 @@ from bisect import bisect_right
 import numpy as np
 from scipy.special import logsumexp
 
-from pdlab.ensembles import LogZTable, _logsumexp
+from pdlab.ensembles import _ROW_BLOCK, LogZTable, _logsumexp
 from pdlab.partitions import TOTAL_SLACK, OrderedPartition
 from pdlab.splitmerge import EVENT_WORK_CAP, UNIFORM_BLOCK, SplitMergeState
 from pdlab.weights import log_weight_row
@@ -325,8 +327,35 @@ def log_space_grid(logw: np.ndarray, L: int) -> np.ndarray:
     return grid
 
 
-def build_logz_masked_rows(family, L: int, N: int) -> LogZTable:
-    """log Z grid with each row's kept and underflowed cells chosen by boolean masks."""
+def toeplitz_block(w: np.ndarray) -> np.ndarray:
+    """build_logz's (M x B) block KT[J, r] = w[r - J + M - B], 0 outside w, M = w.size rounded up to B."""
+    B = _ROW_BLOCK
+    M = -(-w.size // B) * B
+    KT = np.zeros((M, B))
+    for J in range(M):
+        for r in range(B):
+            if 0 <= r - J + M - B < w.size:
+                KT[J, r] = w[r - J + M - B]
+    return KT
+
+
+def blocked_head(a: np.ndarray, KT: np.ndarray) -> np.ndarray:
+    """The first a.size cells of a convolved with KT's weight row, as build_logz forms a row.
+
+    a sits at M - B in a zero buffer of 2M - B cells; block q is the window of
+    M cells from qB times KT, in one matrix product."""
+    M, B = KT.shape
+    padded = np.concatenate([np.zeros(M - B), a, np.zeros(M - a.size)])
+    left = np.array([padded[q * B : q * B + M] for q in range(M // B)])
+    return (left @ KT).reshape(-1)[: a.size]
+
+
+def build_logz_masked_rows(family, L: int, N: int, blocked: bool = True) -> LogZTable:
+    """log Z grid with each row's kept and underflowed cells chosen by boolean masks.
+
+    blocked=True forms each row by ``blocked_head`` and compares the floor with
+    that product; blocked=False is the earlier loop, which ran ``np.convolve``
+    over all 2N + 1 cells and compared the floor after dividing by its peak."""
     if L < 1:
         raise ValueError("L must be >= 1")
     if N < 0:
@@ -338,6 +367,7 @@ def build_logz_masked_rows(family, L: int, N: int) -> LogZTable:
     ks = np.flatnonzero(logw > -np.inf)
     w_off = logw.max() if ks.size else 0.0
     w_lin = np.exp(logw - w_off)
+    KT = toeplitz_block(w_lin)
     step = int(np.gcd.reduce(ks - ks[:1])) or 1
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
     for l in range(2, L + 1):
@@ -345,10 +375,13 @@ def build_logz_masked_rows(family, L: int, N: int) -> LogZTable:
         off = prev.max()
         if off == -np.inf:
             break
-        out = np.convolve(np.exp(prev - off), w_lin)
-        peak = out.max()
-        lin, log_scale = out / peak, off + w_off + math.log(peak)
-        lin = lin[: N + 1]
+        if blocked:
+            lin, log_scale = blocked_head(np.exp(prev - off), KT), off + w_off
+        else:
+            out = np.convolve(np.exp(prev - off), w_lin)
+            peak = out.max()
+            lin, log_scale = out / peak, off + w_off + math.log(peak)
+            lin = lin[: N + 1]
         ok = lin >= floor
         grid[l, ok] = np.log(lin[ok]) + log_scale
         n = np.flatnonzero(~ok)

@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +40,7 @@ from pdlab.ensembles import _tilted_terms
 from pdlab.weights import log_weight_row
 
 from oracle import (
+    blocked_head,
     build_logz_masked_rows,
     bulk_tail_weight,
     inclusion_weight,
@@ -46,6 +51,7 @@ from oracle import (
     size_biased_law,
     span_power_convolve,
     table_weight,
+    toeplitz_block,
 )
 
 TABLE111 = WeightFamily.from_table([1.0, 1.0, 1.0])
@@ -971,3 +977,86 @@ class TestMaskedRows:
         monkeypatch.setattr(ensembles, "build_logz", build_logz_masked_rows)
         monkeypatch.setattr(cli, "build_logz", build_logz_masked_rows)
         assert once == outputs("masked")
+
+
+def row_operands(m: int, shape: str):
+    """Two length-m rows in [0, 1] for the row product, shaped as build_logz can meet them."""
+    rng = np.random.default_rng(m)
+    a, w = rng.random(m), rng.random(m)
+    if shape == "leading_zeros":  # w(0) = 0, and the row starts with empty cells
+        w[0] = 0.0
+        a[: m // 3] = 0.0
+    elif shape == "trailing_zeros":  # a weight row and a previous row that end early
+        w[m - m // 3 :] = 0.0
+        a[m - m // 2 :] = 0.0
+    elif shape == "subnormal":  # entries down to the smallest subnormal, products that underflow
+        a *= 2.0 ** -rng.integers(0, 1075, m).astype(float)
+        w *= 2.0 ** -rng.integers(0, 600, m).astype(float)
+        a[-1], w[0] = 5e-324, 2.0**-1022
+    return a, w
+
+
+class TestRowProduct:
+    """The blocked row product of build_logz, written out in oracle.py (TestMaskedRows ties the two bit for bit)."""
+
+    @pytest.mark.parametrize("shape", ["dense", "leading_zeros", "trailing_zeros", "subnormal"])
+    @pytest.mark.parametrize("m", [1, 2, ensembles._ROW_BLOCK - 1, ensembles._ROW_BLOCK,
+                                   ensembles._ROW_BLOCK + 1, 3 * ensembles._ROW_BLOCK + 5])
+    def test_head_within_m_rounding_units(self, m, shape):
+        # a cell sums at most m nonnegative products, in whatever order the BLAS
+        # takes: within m * u relative (Jeannerod & Rump 2013), plus half the
+        # subnormal spacing for each product that underflows
+        a, w = row_operands(m, shape)
+        got = blocked_head(a, toeplitz_block(w))
+        assert got.shape == (m,)
+        fa, fw = [Fraction(x) for x in a], [Fraction(x) for x in w]
+        u, eta = Fraction(1, 2**53), Fraction(1, 2**1075)
+        for n in range(m):
+            exact = sum((fa[n - k] * fw[k] for k in range(n + 1)), Fraction(0))
+            assert abs(Fraction(got[n]) - exact) <= m * u * exact + m * eta, (n, got[n], float(exact))
+
+    @kernel_cases
+    def test_grid_within_rounding_of_convolve_loop(self, family, L, N):
+        # each row adds at most N + 1 rounding units from its product and one each
+        # from the subtraction, exp, log and offset, on the scale of the grid's
+        # largest log; both builds round, so twice that
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            got, want = build_logz(family, L, N).logz, build_logz_masked_rows(family, L, N, blocked=False).logz
+        assert (np.isneginf(got) == np.isneginf(want)).all()
+        fin = np.isfinite(want)
+        scale = max(1.0, float(np.abs(want[fin]).max()))
+        assert (np.abs(got[fin] - want[fin]) <= 2 * L * (N + 4) * np.finfo(float).eps / 2 * scale).all()
+
+    @pytest.mark.parametrize("weights", [[1.0, 2.0, 4.0], [1e-150, 1e-80, 1.0]], ids=["124", "steep"])
+    def test_repairs_exactly_the_cells_below_the_floor(self, weights):
+        # both rows peak past N = 10; in the steep one the kept head peaks near
+        # 1e-150, most cells are repaired, and cell 8 (about 1e-300) lies below
+        # the floor but above the floor times that peak
+        family, L, N = WeightFamily.from_table(weights), 20, 10
+        table = build_logz(family, L, N)
+        logz, w_off = table.logz, table.log_w.max()
+        KT = toeplitz_block(np.exp(table.log_w - w_off))
+        ks = np.flatnonzero(table.log_w > -math.inf)
+        floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
+        for l in range(2, L + 1):
+            off = logz[l - 1].max()
+            lin = blocked_head(np.exp(logz[l - 1] - off), KT)
+            below = lin < floor
+            assert same_bits(logz[l, ~below], np.log(lin[~below]) + (off + w_off)), l
+            shift = np.flatnonzero(below)[:, None] - ks
+            terms = np.where(shift >= 0, table.log_w[ks] + logz[l - 1, np.maximum(shift, 0)], -math.inf)
+            assert same_bits(logz[l, below], ensembles._logsumexp(terms, axis=1)), l
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # the row product is a threaded BLAS call; a thread splits cells, never a cell's sum
+        src = Path(__file__).resolve().parents[1] / "src"
+        script = ("import sys; from pdlab import WeightFamily, build_logz; "
+                  "sys.stdout.buffer.write(build_logz(WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5]), 400, 800).logz.tobytes())")
+        grids = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            grids.append(proc.stdout)
+        assert len(grids[0]) == 401 * 801 * 8 and grids[0] == grids[1]
