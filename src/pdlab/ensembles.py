@@ -400,16 +400,16 @@ def _nonzero_head(a: np.ndarray) -> np.ndarray:
     return a[: nz[-1] + 1 if nz.size else 1]
 
 
-def _chernoff_horizon(p: np.ndarray, L: int, log_tail: float) -> int:
-    """A horizon H with P[X_1 + ... + X_L >= H] <= exp(log_tail) for X_i drawn from p.
+def _chernoff_horizon(p: np.ndarray, L: int) -> int:
+    """A horizon H with P[X_1 + ... + X_L >= H] <= 2^-64 / (L * (p.size - 1) + 1) for X_i drawn from p.
 
-    By Chernoff the probability is at most exp(L log E e^(tX) - tH) for every
-    t > 0, so each t gives a valid horizon (L log E e^(tX) - log_tail) / t.  The
-    smallest over a grid of t around the Gaussian optimum is taken, plus a cell
-    to spare.
+    That tail is 2^-64 of the smallest peak a law on L * (p.size - 1) + 1
+    cells can have.  By Chernoff the probability is at most
+    exp(L log E e^(tX) - tH) for every t > 0, so each t gives a valid horizon
+    (L log E e^(tX) - log tail) / t.  The smallest over a grid of t around the
+    Gaussian optimum is taken, plus a cell to spare.
     """
-    if log_tail >= 0.0:
-        return 0
+    log_tail = -64 * math.log(2) - math.log(L * (p.size - 1) + 1)
     k = np.arange(p.size, dtype=float)
     var = float(np.dot((k - np.dot(k, p)) ** 2, p))
     t = math.sqrt(-2.0 * log_tail / (L * var)) if var > 0.0 else 1.0
@@ -423,29 +423,28 @@ def _chernoff_horizon(p: np.ndarray, L: int, log_tail: float) -> int:
     return math.ceil(float(np.min((L * log_mgf - log_tail) / t))) + 1
 
 
-def _power_convolve(p: np.ndarray, L: int, horizon: int | None = None) -> tuple[np.ndarray, float]:
+def _power_convolve(p: np.ndarray, L: int, horizon: int) -> tuple[np.ndarray, float]:
     """First H cells of the L-fold convolution of a pmf, scaled to peak 1, and its log scale.
 
-    H is min(horizon, L * (p.size - 1) + 1), the full length when horizon is
-    None.  Binary exponentiation:
-    each fold cuts its operands to their first H cells and to their last
-    nonzero cell (past it the folded laws hold cells that underflowed to
-    exactly 0), correlates them longer operand first, the left one on a tie,
-    and keeps the first H cells scaled by their own peak.  A cell below H
-    depends only on the operands' cells below H, whatever the summation order,
-    and each sums nonnegative products, so it is exact to a relative error of
-    its length times the rounding unit unless a term underflows.  Leading
-    zeros (w(0) = 0) are kept: dropping them moves where each dot product
-    starts, and so the rounding near the peak.
+    H is min(horizon, L * (p.size - 1) + 1): the caller proves that its
+    window holds what it reads.  Binary exponentiation: each fold cuts its
+    operands to their first H cells and to their last nonzero cell (past it
+    the folded laws hold cells that underflowed to exactly 0), takes the
+    first H cells of ``np.convolve`` of the two (which runs the longer
+    operand first, the left one on a tie) and scales them by their own peak.
+    A cell below H depends only on the operands' cells below H, whatever the
+    summation order, and each sums nonnegative products, so it is exact to a
+    relative error of its length times the rounding unit unless a term
+    underflows.  Leading zeros (w(0) = 0) are kept: dropping them moves where
+    each dot product starts, and so the rounding near the peak.
     A window in which every cell underflowed, p's first H cells too, stays
     zero, with log scale -inf.
     """
-    size = L * (p.size - 1) + 1
-    H = size if horizon is None else min(horizon, size)
+    H = min(horizon, L * (p.size - 1) + 1)
 
     def fold(x, y):
-        (a, log_a), (b, log_b) = (x, y) if x[0].size >= y[0].size else (y, x)
-        out = np.correlate(a, b[::-1], "full")[:H]
+        (a, log_a), (b, log_b) = x, y
+        out = np.convolve(a, b)[:H]
         peak = out[int(out.argmax())]
         if peak == 0.0:
             return out[:1], -math.inf
@@ -556,9 +555,9 @@ def local_clt_report(family: WeightFamily, L: int) -> DiagnosticsReport:
     thresholds.  The sum's law is convolved in linear space with one
     rescaling per fold, its log carried along, because the sup-norm comparison
     needs absolute probabilities.  The sup is taken over the law's first H
-    cells; H starts at the Chernoff horizon past which the tail holds at most
-    2^-64 of the smallest peak a law on L * n + 1 cells can have, and doubles
-    until no cell from H on can reach the sup.
+    cells, H the Chernoff horizon past which the tail holds at most 2^-64 of
+    the smallest peak a law on L * n + 1 cells can have.  When that window
+    cannot be shown to hold the sup, the whole law is folded once.
     """
     phi_l = phi_sequence(family, L)
     gc = grand_canonical_stats(family, L, phi_l)
@@ -582,22 +581,16 @@ def local_clt_report(family: WeightFamily, L: int) -> DiagnosticsReport:
         return np.exp(-0.5 * ((n - a_l) / b_l) ** 2) / math.sqrt(2 * math.pi)
 
     # the sup over the first H cells is the sup over all once no cell from H on
-    # can reach it: b_L P[S_L >= H] by Chernoff, and the Gaussian past its
+    # can reach it: b_L P[S_L >= H] <= b_L 2^-64 / size by the horizon's own
+    # bound, which holds at every larger H too, and the Gaussian past its
     # centre, at most its value at H
     size = L * (nu.size - 1) + 1
-    H = _chernoff_horizon(nu, L, -64 * math.log(2) - math.log(size))
-    while True:
+    for H in (_chernoff_horizon(nu, L), size):
         vec, log_scale = _power_convolve(nu, L, H)
         pmf = vec * math.exp(log_scale)
         sup_err = float(np.max(np.abs(b_l * pmf - gauss(np.arange(pmf.size, dtype=float)))))
-        H = pmf.size
-        if H == size or (
-            H > a_l
-            and 2 * gauss(H) < sup_err
-            and _chernoff_horizon(nu, L, math.log(sup_err / (2 * b_l))) <= H
-        ):
+        if pmf.size == size or (H > a_l and 2 * gauss(H) < sup_err and b_l * 2.0**-64 / size < sup_err / 2):
             break
-        H = 2 * H
 
     report.add("a_L", a_l)
     report.add("b_L", b_l)

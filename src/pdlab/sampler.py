@@ -222,15 +222,11 @@ def _check_draws(table: LogZTable, occ: np.ndarray, N: int) -> None:
     The last site takes whatever mass is left, so a grid that disagrees with
     its weight row (corrupt, or off by rounding) can hand it an impossible
     occupation.  An explicit check, unlike an assert, also runs under -O.
-    One draw gathers its L weights; a batch tests its rows against the
-    zero-weight mask of w(0..N), a byte per entry instead of a double.
+    One draw and a batch alike are tested against the zero-weight mask of
+    w(0..N), a byte per entry instead of a double.
     """
-    if occ.ndim == 1:
-        refused = occ.sum() != N or table.log_w[occ].min() == -np.inf
-    else:
-        zero_weight = np.isneginf(table.log_w[: N + 1])
-        refused = (occ.sum(axis=1) != N).any() or (zero_weight.any() and zero_weight[occ].any())
-    if refused:
+    zero_weight = np.isneginf(table.log_w[: N + 1])
+    if (occ.sum(axis=-1) != N).any() or (zero_weight.any() and zero_weight[occ].any()):
         raise FloatingPointError(
             f"a draw at N = {N} misses the total or holds a zero-weight occupation; "
             "the log Z grid disagrees with its weight row"

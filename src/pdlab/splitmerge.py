@@ -160,8 +160,6 @@ def _panel_points(lo: float, hi: float, breaks):
     # a block of exactly 2 eps has lo == hi: no panel, no split point
     us, ws = [np.empty(0)], [np.empty(0)]
     for a, b in zip(pts, pts[1:]):
-        if b - a <= 0:
-            continue
         us.append(0.5 * (b - a) * x + 0.5 * (a + b))
         ws.append(0.5 * (b - a) * w)
     return np.concatenate(us), np.concatenate(ws)
@@ -676,7 +674,8 @@ def reversibility_defect(
     parts, each a row of L sorted counts weighted by its canonical probability
     times the number L! / prod_v m_v! of configurations that sort to it (m_v
     entries equal to v, zeros counted as a value); a row of weight 0 adds
-    0 * h.  It refuses more than 10^7 partitions, and ``n`` is their count.
+    0 * h.  It refuses a sample count, which it would not use, and more than
+    10^7 partitions; ``n`` is their count.
     mc mode averages h over ``samples`` exact canonical draws, one h per
     distinct sorted configuration of each ``MC_CHUNK`` draws, and reports a
     standard error; ``n`` is the sample count.  Both modes pass their rows to
@@ -686,6 +685,8 @@ def reversibility_defect(
     params = {"family": family.to_json_dict(), "L": L, "N": N, "eps": eps, "theta": theta,
               "f": f.label or "f", "g": g.label or "g"}
     if mode == "exact":
+        if samples is not None:
+            raise ValueError("exact mode takes no sample count: it sums over every partition")
         n_states = _partition_count(N, L)
         if n_states > EXACT_STATE_CAP:
             raise ValueError(

@@ -412,6 +412,15 @@ class TestReversibility:
                    "--theta", "1.0", "--eps", "0.1", "--sizes", "3x6")
         assert code == 2
 
+    def test_exact_mode_refuses_a_sample_count(self, tmp_path, bulk_family, capsys):
+        # exact mode sums over every partition: a count would be recorded and do nothing
+        out = tmp_path / "o"
+        code = run("--family", bulk_family, "--out", str(out), "reversibility", "--theta", "1",
+                   "--eps", "0.1", "--sizes", "3:6", "--mode", "exact", "--samples", "100")
+        assert code == 2
+        assert "exact mode takes no sample count" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEnsembles:
     def test_rows_per_size_and_phi_echo(self, tmp_path, bulk_family):

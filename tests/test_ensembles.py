@@ -16,6 +16,7 @@ from scipy.special import logsumexp
 from scipy.stats import binom
 
 from pdlab import (
+    OutOfDomainError,
     SupercriticalDensityError,
     WeightFamily,
     build_logz,
@@ -344,6 +345,10 @@ class TestGrandCanonical:
         with pytest.raises(ValueError, match="phi must be >= 0"):
             grand_canonical_stats(BULK, L, phi)
 
+    def test_all_weights_zero_is_out_of_domain(self):
+        with pytest.raises(OutOfDomainError, match="all tilted weights vanish"):
+            grand_canonical_stats(WeightFamily.from_table([0.0]), None, 0.5)
+
     @pytest.mark.parametrize(
         "diagnostic",
         [
@@ -549,7 +554,7 @@ class TestRelativeEntropy:
     def test_mass_past_the_first_horizon(self, L, N, phi):
         # N + 1 lies past the Chernoff horizon, so the window holds the law's peak
         p = np.exp(tilted_row(BULK, L, N, phi))
-        horizon = ensembles._chernoff_horizon(p, L, -64 * math.log(2) - math.log(L * (p.size - 1) + 1))
+        horizon = ensembles._chernoff_horizon(p, L)
         assert N >= horizon
         vec, log_scale = span_power_convolve(p, L)
         assert vec[N] > 0.0
@@ -740,7 +745,7 @@ FOLD_IDS = ["bulk_tail", "gap", "inclusion", "table011", "point", "bernoulli"]
 
 def chernoff_window(p, L):
     """The first window local_clt_report folds on."""
-    return ensembles._chernoff_horizon(p, L, -64 * math.log(2) - math.log(L * (p.size - 1) + 1))
+    return ensembles._chernoff_horizon(p, L)
 
 
 def exact_fold_law(p, L):
@@ -761,8 +766,8 @@ SUP_ERROR_RTOL = 1e-13
 class TestPowerConvolve:
     """The folds against full-length folds, span-only folds and exact rational folds.
 
-    Without a horizon the folds are the span-only folds kept in oracle.py bit
-    for bit.  Against full-length folds, at the flatter tilts of
+    On the full-length window the folds are the span-only folds kept in
+    oracle.py bit for bit.  Against full-length folds, at the flatter tilts of
     relative_entropy_bound a few cells above 1e-250 of the peak can also move
     by an ulp or two (bulk_tail at L = 333, rho = 0.25);
     test_cli_output_unchanged pins what that path reports.  On a window, each
@@ -782,7 +787,7 @@ class TestPowerConvolve:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # phi_L clipped below 1 for the tables
             p = grand_canonical_stats(family, L, phi_sequence(family, L)).pmf()
-        got, log_got = ensembles._power_convolve(p, L)
+        got, log_got = ensembles._power_convolve(p, L, L * (p.size - 1) + 1)
         want, log_want = full_power_convolve(p, L)
         assert got.shape == want.shape and same_bits(log_got, log_want)
         big = want >= 1e-250 * want.max()
@@ -812,8 +817,8 @@ class TestPowerConvolve:
                 assert got[j] == 1.0 and (np.abs(got - ref)[big] <= 4e-15 * ref[big]).all(), (L, H)
                 log_ref = log_want + math.log(want[j])
                 assert abs(log_got - log_ref) <= 4 * np.spacing(abs(log_ref)), (L, H)
-            if L < 1000:  # no horizon: the full length, by the same folds
-                got, log_got = ensembles._power_convolve(p, L)
+            if L < 1000:  # the full length, by the same folds
+                got, log_got = ensembles._power_convolve(p, L, L * (p.size - 1) + 1)
                 assert same_bits(got, want) and same_bits(log_got, log_want), L
 
     @pytest.mark.parametrize("p", [[0.5, 0.5], [0.25, 0.5, 0.25], [0.0, 1 / 3, 2 / 3]],
@@ -824,7 +829,7 @@ class TestPowerConvolve:
         low = int(np.flatnonzero(p)[0])
         for L in range(1, 13):
             law = exact_fold_law(p, L)
-            for H in [None, *range(L * low + 1, len(law) + 1)]:
+            for H in range(L * low + 1, len(law) + 1):
                 got, log_got = ensembles._power_convolve(p, L, H)
                 cells = law[: got.size]
                 peak = max(cells)
@@ -838,8 +843,8 @@ class TestPowerConvolve:
         # L not a power of two: no fold runs on an operand longer than the window
         p = grand_canonical_stats(GAP, L, phi_sequence(GAP, L)).pmf()
         H = chernoff_window(p, L)
-        lengths, correlate = [], np.correlate
-        monkeypatch.setattr(np, "correlate", lambda a, v, mode: lengths.extend([a.size, v.size]) or correlate(a, v, mode))
+        lengths, convolve = [], np.convolve
+        monkeypatch.setattr(np, "convolve", lambda a, v: lengths.extend([a.size, v.size]) or convolve(a, v))
         ensembles._power_convolve(p, L, H)
         assert lengths and max(lengths) <= H < L * (p.size - 1) + 1
 
@@ -859,6 +864,25 @@ class TestPowerConvolve:
             g, w = values.pop("clt_sup_error", (0.0, 0.0))
             assert abs(g - w) <= SUP_ERROR_RTOL * w
         assert same_bits(np.array([g for g, _ in values.values()]), np.array([w for _, w in values.values()]))
+
+    @pytest.mark.parametrize("L", [7, 100])
+    @pytest.mark.parametrize("family", [GAP, BULK], ids=["gap", "bulk_tail"])
+    def test_window_too_short_folds_the_whole_law_once(self, family, L, monkeypatch):
+        # a one-cell first window cannot hold the sup, so the second fold takes
+        # the whole law, which is the span folds' law bit for bit
+        windows, fold = [], ensembles._power_convolve
+        monkeypatch.setattr(ensembles, "_chernoff_horizon", lambda p, L: 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, H: windows.append(H) or fold(p, L, H))
+            got = local_clt_report(family, L)
+            monkeypatch.setattr(ensembles, "_power_convolve", lambda p, L, H: span_power_convolve(p, L))
+            want = local_clt_report(family, L)
+        nu = grand_canonical_stats(family, L, phi_sequence(family, L)).pmf()
+        assert windows == [1, L * (nu.size - 1) + 1]
+        assert got.labels() == want.labels()
+        assert same_bits(np.array([got.value(k) for k in got.labels()]),
+                         np.array([want.value(k) for k in want.labels()]))
 
     def test_cli_output_unchanged(self, tmp_path, monkeypatch):
         # bulk_tail at 32, 128, 512 byte for byte; gap at 100 and 333 to the bound
