@@ -1,11 +1,14 @@
 """Exact log-space canonical partition functions and ensemble diagnostics.
 
-Partition functions are built by the convolution recursion
-``Z_{l,n} = sum_k w_L(k) Z_{l-1,n-k}`` on linear rows that each carry one log
+Partition functions are built on linear rows that each carry one log
 offset, and are stored in log space, since Z spans hundreds of orders of
-magnitude already for L, N in the hundreds.  All marginal, grand-canonical,
-entropy, and local-CLT quantities are derived from those tables or from
-tilted single-site laws.
+magnitude already for L, N in the hundreds.  With the weight row pinned at
+w_L, ``Z_{k+i} = Z_k * Z_i``, so up to 32 rows come from one matrix product
+of rows 1..32 with row k's Toeplitz matrix, triangular and cut into fixed
+inner chunks; a cell below the floor is redone by the recursion
+``Z_{l,n} = sum_k w_L(k) Z_{l-1,n-k}`` in log space.  All marginal,
+grand-canonical, entropy, and local-CLT quantities are derived from those
+tables or from tilted single-site laws.
 """
 
 from __future__ import annotations
@@ -60,7 +63,9 @@ class LogZTable:
         return 1 <= L <= self.L_max and 0 <= N <= self.N_max
 
 
-_ROW_BLOCK = 32  # cells per block of a log Z row's matrix product
+_ROWS = 32  # rows one product makes at most: rows k+1..k+32 from row k and rows 1..32
+_COLS = 64  # columns per triangular block of a product
+_DEPTH = 256  # inner-dimension chunk of a product: short enough that the BLAS thread count leaves its bytes alone
 
 
 def _logsumexp(a: np.ndarray, axis: int | None = None):
@@ -77,19 +82,54 @@ def _logsumexp(a: np.ndarray, axis: int | None = None):
     return np.squeeze(out, axis=axis)[()]
 
 
-def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
-    """The full log Z grid up to (L, N), each row l written once.
+def _repair_row(row: np.ndarray, prev: np.ndarray, lin: np.ndarray, l: int,
+                ks: np.ndarray, logw: np.ndarray, floor: float) -> None:
+    """Redo the cells of row l whose product lin lies below the floor, from row l - 1 in log space.
 
-    Row l is the log of the first N + 1 cells of row l - 1 convolved with the
-    weight row in linear space, both scaled to maximum 1, plus the offsets.  The
-    cells come as one matrix product: with B = _ROW_BLOCK and M = N + 1 rounded up
-    to a multiple of B, block q of B cells is the window of M cells from qB of
-    the scaled row (placed at M - B in a zero-padded buffer) times the (M x B)
-    Toeplitz block KT[J, r] = w[r - J + M - B], 0 outside 0..N.  A term below
-    the smallest normal double removes at most (N+1) * tiny from a cell, so a
-    cell below (N+1) * tiny / eps, on that product's scale, is reset to -inf
-    and, if n <= l * max(ks) lies in the sumset of ks and row l - 1's finite
-    cells, gets a log-sum-exp over ks.
+    Each is reset to -inf and, if n <= l * max(ks) lies in the sumset of ks
+    and row l - 1's finite cells, gets a log-sum-exp over ks."""
+    n = np.flatnonzero(lin < floor)
+    row[n] = NEG_INF
+    # row l - 1 is finite only up to (l - 1) * max(ks): no shift reaches past l * max(ks)
+    n = n[n <= l * ks[-1]]
+    if n.size:
+        fin = prev > NEG_INF
+        bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
+        top = int(n[-1])
+        reach = 0
+        # a shift past top minus the first finite cell reaches no cell <= top
+        for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
+            reach |= bits << k
+        reach &= (2 << top) - 1
+        hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
+        n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
+    if n.size:
+        shift = n[:, None] - ks
+        terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
+        row[n] = _logsumexp(terms, axis=1)
+
+
+def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
+    """The full log Z grid up to (L, N), up to _ROWS rows per matrix product.
+
+    The weight row is pinned at w_L, so Z_{k+i} = Z_k * Z_i on cells 0..N.
+    From a finished row k, rows k+1..k+j, j = min(k, _ROWS, L - k), are one
+    product: rows 1..j, each scaled to maximum 1 and kept once built, times
+    row k's Toeplitz matrix T[m, n] = s(n - m), s row k scaled to maximum 1.
+    Row k+i is the log of product row i plus the two rows' offsets.  So
+    steps make 1, 2, 4, 8, 16 and then 32 rows; longer steps would multiply
+    rows of wider range, whose products underflow in more cells.  The
+    product runs in column blocks of _COLS: block n0..n1 reads only rows
+    m < n1 of T, so only the block's own diagonal corner multiplies zeros.
+    Every block reads rows of one (M x _COLS) Toeplitz block of row k, M =
+    N + 1 rounded up to _COLS.  The inner dimension is cut into chunks of
+    _DEPTH, each one BLAS call, added in a fixed order: OpenBLAS gave
+    products with an inner dimension past 384 other bytes under two threads
+    than under one (README, "Numerical conventions").  A term below the
+    smallest normal double removes at most (N+1) * tiny from a cell, so
+    factors below tiny are set to 0 (a subnormal operand is a slow path in
+    the BLAS), and a cell below (N+1) * tiny / eps, on the product's scale,
+    is redone from row l - 1 by ``_repair_row``, row by row in row order.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
@@ -100,51 +140,47 @@ def build_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     grid[0, 0] = 0.0
     grid[1] = logw
     ks = np.flatnonzero(logw > NEG_INF)
-    w_off = logw.max() if ks.size else 0.0
-    B = _ROW_BLOCK
-    M = -(-(N + 1) // B) * B
-    w = np.zeros(2 * M - 1)  # w(n) at M - 1 + n, so row J of KT is the window from 2M - B - 1 - J
-    w[M - 1 : M + N] = np.exp(logw - w_off)
-    KT = np.lib.stride_tricks.sliding_window_view(w, B)[M - B : 2 * M - B][::-1].copy()
-    buf = np.zeros(2 * M - B)
-    scaled = buf[M - B : M - B + N + 1]
-    windows = np.lib.stride_tricks.sliding_window_view(buf, M)[::B]
-    left, prod = np.empty((M // B, M)), np.empty((M // B, B))
-    lin = prod.reshape(-1)[: N + 1]
-    floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
-    off = grid[1].max()  # not w_off: a weight row of -inf leaves every later row empty
+    C = _COLS
+    M = -(-(N + 1) // C) * C
+    J = min(_ROWS, L - 1)  # rows of the largest product
+    heads, head_offs = np.empty((J, N + 1)), np.empty(J)
+    padded = np.zeros(M + C - 1)  # s at C - 1: row r of the Toeplitz block is the window from M - 1 - r
+    scaled = padded[C - 1 : C + N]
+    windows = np.lib.stride_tricks.sliding_window_view(padded, C)[::-1]
+    block = np.empty((M, C))  # block[r, c] = s(c + M - C - r), so T[m, n0 + c] = block[M - C - n0 + m, c]
+    prod, part = np.empty((J, N + 1)), np.empty((J, C))
+    tiny = np.finfo(float).tiny
+    floor = (N + 1) * tiny / np.finfo(float).eps
+    k, built = 1, 0  # rows 1..built of heads are set
     with np.errstate(divide="ignore"):  # log 0 = -inf, in a cell below the floor
-        for l in range(2, L + 1):
+        while k < L:
+            off = grid[k].max()
             if off == NEG_INF:
                 break  # every later row is empty too
-            prev, row = grid[l - 1], grid[l]
-            np.exp(np.subtract(prev, off, out=scaled), out=scaled)
-            np.copyto(left, windows)
-            np.matmul(left, KT, out=prod)
-            np.add(np.log(lin, out=row), off + w_off, out=row)
-            if lin.min() >= floor:
-                off = row.max()
-                continue
-            n = np.flatnonzero(lin < floor)
-            row[n] = NEG_INF
-            # row l - 1 is finite only up to (l - 1) * max(ks): no shift reaches past l * max(ks)
-            n = n[n <= l * ks[-1]]
-            if n.size:
-                fin = prev > NEG_INF
-                bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
-                top = int(n[-1])
-                reach = 0
-                # a shift past top minus the first finite cell reaches no cell <= top
-                for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
-                    reach |= bits << k
-                reach &= (2 << top) - 1
-                hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
-                n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
-            if n.size:
-                shift = n[:, None] - ks
-                terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], NEG_INF)
-                row[n] = _logsumexp(terms, axis=1)
-            off = row.max()
+            j = min(k, _ROWS, L - k)
+            if built < j:  # rows up to k are finished, and none is empty
+                rows, scaled_rows = grid[built + 1 : j + 1], heads[built:j]
+                np.max(rows, axis=1, out=head_offs[built:j])
+                np.exp(rows - head_offs[built:j, None], out=scaled_rows)
+                scaled_rows[scaled_rows < tiny] = 0.0
+                built = j
+            np.exp(np.subtract(grid[k], off, out=scaled), out=scaled)
+            scaled[scaled < tiny] = 0.0
+            np.copyto(block, windows)
+            for n0 in range(0, N + 1, C):
+                n1, base = min(n0 + C, N + 1), M - C - n0
+                cols = prod[:j, n0:n1]
+                for c0 in range(0, n1, _DEPTH):
+                    c1 = min(c0 + _DEPTH, n1)
+                    dst = part[:j, : n1 - n0] if c0 else cols
+                    np.matmul(heads[:j, c0:c1], block[base + c0 : base + c1, : n1 - n0], out=dst)
+                    if c0:
+                        cols += dst
+            lin, new = prod[:j], grid[k + 1 : k + j + 1]
+            np.add(np.log(lin), (head_offs[:j] + off)[:, None], out=new)
+            for i in np.flatnonzero(lin.min(axis=1) < floor).tolist():
+                _repair_row(new[i], grid[k + i], lin[i], k + i + 1, ks, logw, floor)
+            k += j
     if N > 0 and grid[L, N] == NEG_INF:
         warnings.warn(f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}", stacklevel=2)
     grid.setflags(write=False)
@@ -157,9 +193,18 @@ def cached_logz(family: WeightFamily, L: int, N: int) -> LogZTable:
     return build_logz(family, L, N)
 
 
+# names the arithmetic of build_logz in cache files: a grid another kernel wrote passes
+# every value check but differs in its last digits, so it must be a miss
+_KERNEL_TAG = "blk32"
+
+
+def _cache_path(family: WeightFamily, L: int, N: int, directory) -> Path:
+    return Path(directory) / f"logz_{family.digest()}_{L}_{N}_{_KERNEL_TAG}.npy"
+
+
 def save_logz_cache(table: LogZTable, directory) -> Path:
-    """Write the grid as ``logz_<family digest>_<L>_<N>.npy`` in directory; return its path."""
-    path = Path(directory) / f"logz_{table.family.digest()}_{table.L_max}_{table.N_max}.npy"
+    """Write the grid as ``logz_<family digest>_<L>_<N>_<kernel tag>.npy`` in directory; return its path."""
+    path = _cache_path(table.family, table.L_max, table.N_max, directory)
     np.save(path, np.asarray(table.logz), allow_pickle=False)
     return path
 
@@ -167,13 +212,14 @@ def save_logz_cache(table: LogZTable, directory) -> Path:
 def load_logz_cache(family: WeightFamily, L: int, N: int, directory) -> LogZTable | None:
     """The grid save_logz_cache wrote for (family, L, N), or None when it is missing or invalid.
 
-    A grid depends only on w_L(0..N), L and N, so it is used only when it is float64
-    of shape (L+1, N+1) with no NaN or +inf, row 0 is (0, -inf, ...), row 1 the weight
-    row exactly, and cell (L, N) the recursion from row L - 1 to 1e-10.  Else the
-    caller rebuilds and overwrites it.
+    A grid depends only on w_L(0..N), L, N and the kernel that built it, whose
+    tag is in the file name, so it is used only when it is float64 of shape
+    (L+1, N+1) with no NaN or +inf, row 0 is (0, -inf, ...), row 1 the weight
+    row exactly, and cell (L, N) the recursion from row L - 1 to 1e-10.  Else
+    the caller rebuilds and overwrites it.
     """
     try:
-        grid = np.load(Path(directory) / f"logz_{family.digest()}_{L}_{N}.npy", allow_pickle=False)
+        grid = np.load(_cache_path(family, L, N, directory), allow_pickle=False)
     except (OSError, ValueError, EOFError):
         return None
     logw = np.asarray(log_weight_row(family, L, N))

@@ -15,8 +15,8 @@ must match, and the reference reversibility defect walks every
 configuration with the per-block lattice generator.
 
 The last oracles are earlier forms of hot loops, kept as the code the
-library must reproduce bit for bit: the log Z build that forms each row by
-the blocked matrix product, written out, and splits it into the cells above
+library must reproduce bit for bit: the log Z build that forms up to 32 rows
+per block product, written out, and splits each row into the cells above
 and below the floor by boolean masks (its earlier ``np.convolve`` row is kept
 beside it as the reference to rounding), stick-breaking
 that draws and fills each 64-column block for all rows at once, the batch
@@ -44,7 +44,7 @@ from bisect import bisect_right
 import numpy as np
 from scipy.special import logsumexp
 
-from pdlab.ensembles import _ROW_BLOCK, LogZTable, _logsumexp
+from pdlab.ensembles import _COLS, _DEPTH, _ROWS, LogZTable, _logsumexp
 from pdlab.partitions import TOTAL_SLACK, OrderedPartition
 from pdlab.splitmerge import EVENT_WORK_CAP, UNIFORM_BLOCK, SplitMergeState
 from pdlab.weights import log_weight_row
@@ -327,35 +327,64 @@ def log_space_grid(logw: np.ndarray, L: int) -> np.ndarray:
     return grid
 
 
-def toeplitz_block(w: np.ndarray) -> np.ndarray:
-    """build_logz's (M x B) block KT[J, r] = w[r - J + M - B], 0 outside w, M = w.size rounded up to B."""
-    B = _ROW_BLOCK
-    M = -(-w.size // B) * B
-    KT = np.zeros((M, B))
-    for J in range(M):
-        for r in range(B):
-            if 0 <= r - J + M - B < w.size:
-                KT[J, r] = w[r - J + M - B]
-    return KT
+def toeplitz_block(s: np.ndarray) -> np.ndarray:
+    """build_logz's (M x C) Toeplitz block of a row s: block[r, c] = s[c + M - C - r], 0 outside s.
+
+    C = _COLS and M = s.size rounded up to C, so row m of the Toeplitz matrix
+    T[m, n] = s[n - m], on the columns n0..n0 + C, is row M - C - n0 + m."""
+    C = _COLS
+    M = -(-s.size // C) * C
+    block = np.zeros((M, C))
+    for r in range(M):
+        for c in range(C):
+            if 0 <= c + M - C - r < s.size:
+                block[r, c] = s[c + M - C - r]
+    return block
 
 
-def blocked_head(a: np.ndarray, KT: np.ndarray) -> np.ndarray:
-    """The first a.size cells of a convolved with KT's weight row, as build_logz forms a row.
+def blocked_head(heads: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The first n cells of each row of heads convolved with block's row, as build_logz forms them.
 
-    a sits at M - B in a zero buffer of 2M - B cells; block q is the window of
-    M cells from qB times KT, in one matrix product."""
-    M, B = KT.shape
-    padded = np.concatenate([np.zeros(M - B), a, np.zeros(M - a.size)])
-    left = np.array([padded[q * B : q * B + M] for q in range(M // B)])
-    return (left @ KT).reshape(-1)[: a.size]
+    n is the width of heads (a 1-D heads is one row, and one row comes back).
+    Column block n0..n1, n1 = min(n0 + C, n), reads rows m < n1 of the
+    Toeplitz matrix, in chunks of _DEPTH of the inner dimension, each one
+    matrix product, added in order."""
+    rows = np.atleast_2d(heads)
+    n = rows.shape[1]
+    M, C = block.shape
+    out = np.zeros(rows.shape)
+    for n0 in range(0, n, C):
+        n1 = min(n0 + C, n)
+        for c0 in range(0, n1, _DEPTH):
+            c1 = min(c0 + _DEPTH, n1)
+            out[:, n0:n1] += rows[:, c0:c1] @ block[M - C - n0 + c0 : M - C - n0 + c1, : n1 - n0]
+    return out[0] if heads.ndim == 1 else out
+
+
+def scaled_row(row: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(row - max(row)), with the cells below the smallest normal double set to 0, and max(row)."""
+    off = row.max()
+    s = np.exp(row - off)
+    s[s < np.finfo(float).tiny] = 0.0
+    return s, off
+
+
+def block_steps(L: int):
+    """The (k, j) of build_logz's products: rows k+1..k+j from row k and rows 1..j."""
+    k = 1
+    while k < L:
+        j = min(k, _ROWS, L - k)
+        yield k, j
+        k += j
 
 
 def build_logz_masked_rows(family, L: int, N: int, blocked: bool = True) -> LogZTable:
     """log Z grid with each row's kept and underflowed cells chosen by boolean masks.
 
-    blocked=True forms each row by ``blocked_head`` and compares the floor with
-    that product; blocked=False is the earlier loop, which ran ``np.convolve``
-    over all 2N + 1 cells and compared the floor after dividing by its peak."""
+    blocked=True forms rows k+1..k+j from row k and rows 1..j by ``blocked_head``
+    and compares the floor with that product; blocked=False is the earlier loop,
+    which ran ``np.convolve`` of row l - 1 and the weight row over all 2N + 1
+    cells and compared the floor after dividing by its peak."""
     if L < 1:
         raise ValueError("L must be >= 1")
     if N < 0:
@@ -367,39 +396,41 @@ def build_logz_masked_rows(family, L: int, N: int, blocked: bool = True) -> LogZ
     ks = np.flatnonzero(logw > -np.inf)
     w_off = logw.max() if ks.size else 0.0
     w_lin = np.exp(logw - w_off)
-    KT = toeplitz_block(w_lin)
     step = int(np.gcd.reduce(ks - ks[:1])) or 1
     floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
-    for l in range(2, L + 1):
-        prev = grid[l - 1]
-        off = prev.max()
+    steps = block_steps(L) if blocked else ((l - 1, 1) for l in range(2, L + 1))
+    for k, j in steps:
+        off = grid[k].max()
         if off == -np.inf:
             break
         if blocked:
-            lin, log_scale = blocked_head(np.exp(prev - off), KT), off + w_off
+            heads, offs = zip(*(scaled_row(grid[i]) for i in range(1, j + 1)))
+            lins = blocked_head(np.array(heads), toeplitz_block(scaled_row(grid[k])[0]))
+            scales = [o + off for o in offs]
         else:
-            out = np.convolve(np.exp(prev - off), w_lin)
+            out = np.convolve(np.exp(grid[k] - off), w_lin)
             peak = out.max()
-            lin, log_scale = out / peak, off + w_off + math.log(peak)
-            lin = lin[: N + 1]
-        ok = lin >= floor
-        grid[l, ok] = np.log(lin[ok]) + log_scale
-        n = np.flatnonzero(~ok)
-        n = n[(n - l * ks[0]) % step == 0]
-        if n.size:
-            fin = prev > -np.inf
-            bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
-            top = int(n[-1])
-            reach = 0
-            for k in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
-                reach |= bits << k
-            reach &= (2 << top) - 1
-            hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
-            n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
-        if n.size:
-            shift = n[:, None] - ks
-            terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], -np.inf)
-            grid[l, n] = _logsumexp(terms, axis=1)
+            lins, scales = [out[: N + 1] / peak], [off + w_off + math.log(peak)]
+        for i in range(j):
+            l, lin, prev = k + i + 1, lins[i], grid[k + i]
+            ok = lin >= floor
+            grid[l, ok] = np.log(lin[ok]) + scales[i]
+            n = np.flatnonzero(~ok)
+            n = n[(n - l * ks[0]) % step == 0]
+            if n.size:
+                fin = prev > -np.inf
+                bits = int.from_bytes(np.packbits(fin, bitorder="little").tobytes(), "little")
+                top = int(n[-1])
+                reach = 0
+                for k_ in ks[: np.searchsorted(ks, top - int(np.argmax(fin)), side="right")].tolist():
+                    reach |= bits << k_
+                reach &= (2 << top) - 1
+                hit = np.frombuffer(reach.to_bytes(top // 8 + 1, "little"), dtype=np.uint8)
+                n = n[np.unpackbits(hit, count=top + 1, bitorder="little")[n] == 1]
+            if n.size:
+                shift = n[:, None] - ks
+                terms = np.where(shift >= 0, logw[ks] + prev[np.maximum(shift, 0)], -np.inf)
+                grid[l, n] = _logsumexp(terms, axis=1)
     if N > 0 and grid[L, N] == -np.inf:
         warnings.warn(f"Z_{{{L},{N}}} is exactly zero: no configuration carries mass {N}", stacklevel=2)
     grid.setflags(write=False)

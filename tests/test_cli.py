@@ -556,6 +556,22 @@ class TestZnCache:
             got = load_logz_cache(fam, 6, 9, tmp_path)
             assert got is not None and got.logz.tobytes() == want.logz.tobytes()
 
+    def test_untagged_grid_is_a_miss(self, tmp_path, bulk_family):
+        # the name of a grid from the one-row-per-product kernel, which carried no
+        # kernel tag; one ulp off in cell (L, N), it passes every value check
+        from pdlab.cli import load_logz_cache
+
+        fam, argv = WeightFamily.from_json(bulk_family), ("zn", "--L", "20", "--N", "40")
+        grid = build_logz(fam, 20, 40).logz.copy()
+        grid[20, 40] = np.nextafter(grid[20, 40], np.inf)
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        warm.mkdir()
+        np.save(warm / f"logz_{fam.digest()}_20_40.npy", grid)
+        assert load_logz_cache(fam, 20, 40, warm) is None
+        assert run("--family", bulk_family, "--out", str(warm), *argv) == 0
+        assert run("--family", bulk_family, "--out", str(cold), *argv) == 0
+        assert (warm / "zn_L20_N40.csv").read_bytes() == (cold / "zn_L20_N40.csv").read_bytes()
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -41,6 +41,7 @@ from pdlab.ensembles import _tilted_terms
 from pdlab.weights import log_weight_row
 
 from oracle import (
+    block_steps,
     blocked_head,
     build_logz_masked_rows,
     bulk_tail_weight,
@@ -48,6 +49,7 @@ from oracle import (
     log_space_grid,
     pair_zero,
     partition_function,
+    scaled_row,
     site_marginal,
     size_biased_law,
     span_power_convolve,
@@ -106,14 +108,28 @@ KERNEL_EXAMPLES = [
     # only by the largest shift the bound allows, k = n - (first finite cell) = 0
     (WeightFamily.from_table([1e-200, 1.0, 1.0]), 12, 4),
 ]
+# past the first products: rows 17..32 come from row 16 and rows 1..16, and from
+# row 32 on every product makes 32 rows (L = 33: one row; L = 65: one full
+# product; L = 97: two, after which row 97 is the last)
+KERNEL_EXAMPLES += [
+    (family, L, N)
+    for L in (32, 33, 65, 97)
+    for family, N in [
+        (WeightFamily.from_table([1.0, 0.0, 1.0]), 30),
+        (WeightFamily.from_table([1e-200, 1.0]), 30),
+        # every site holds 1 or 2: row l lies on l..2l, so N = L + 20 keeps every row finite
+        (WeightFamily.from_table([0.0, 1.0, 1.0]), L + 20),
+        (GAP, 30),
+    ]
+]
 
 
 def kernel_cases(test):
-    """Run test(self, family, L, N) on KERNEL_FAMILIES at L <= 12, N <= 30 and on KERNEL_EXAMPLES."""
+    """Run test(self, family, L, N) on KERNEL_FAMILIES at L <= 70, N <= 30 and on KERNEL_EXAMPLES."""
     for case in KERNEL_EXAMPLES:
         test = example(*case)(test)
     test = settings(max_examples=80, deadline=None)(test)
-    sizes = (st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=30))
+    sizes = (st.integers(min_value=1, max_value=70), st.integers(min_value=0, max_value=30))
     return given(KERNEL_FAMILIES, *sizes)(test)
 
 
@@ -1021,11 +1037,11 @@ def row_operands(m: int, shape: str):
 
 
 class TestRowProduct:
-    """The blocked row product of build_logz, written out in oracle.py (TestMaskedRows ties the two bit for bit)."""
+    """The block product of build_logz, written out in oracle.py (TestMaskedRows ties the two bit for bit)."""
 
     @pytest.mark.parametrize("shape", ["dense", "leading_zeros", "trailing_zeros", "subnormal"])
-    @pytest.mark.parametrize("m", [1, 2, ensembles._ROW_BLOCK - 1, ensembles._ROW_BLOCK,
-                                   ensembles._ROW_BLOCK + 1, 3 * ensembles._ROW_BLOCK + 5])
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 101, ensembles._COLS - 1, ensembles._COLS,
+                                   ensembles._COLS + 1, ensembles._DEPTH + 1])
     def test_head_within_m_rounding_units(self, m, shape):
         # a cell sums at most m nonnegative products, in whatever order the BLAS
         # takes: within m * u relative (Jeannerod & Rump 2013), plus half the
@@ -1054,33 +1070,40 @@ class TestRowProduct:
 
     @pytest.mark.parametrize("weights", [[1.0, 2.0, 4.0], [1e-150, 1e-80, 1.0]], ids=["124", "steep"])
     def test_repairs_exactly_the_cells_below_the_floor(self, weights):
-        # both rows peak past N = 10; in the steep one the kept head peaks near
-        # 1e-150, most cells are repaired, and cell 8 (about 1e-300) lies below
-        # the floor but above the floor times that peak
+        # both rows peak past N = 10; in the steep one most cells of each product
+        # lie below the floor and are summed in log space from the row before
         family, L, N = WeightFamily.from_table(weights), 20, 10
         table = build_logz(family, L, N)
-        logz, w_off = table.logz, table.log_w.max()
-        KT = toeplitz_block(np.exp(table.log_w - w_off))
+        logz = table.logz
         ks = np.flatnonzero(table.log_w > -math.inf)
         floor = (N + 1) * np.finfo(float).tiny / np.finfo(float).eps
-        for l in range(2, L + 1):
-            off = logz[l - 1].max()
-            lin = blocked_head(np.exp(logz[l - 1] - off), KT)
-            below = lin < floor
-            assert same_bits(logz[l, ~below], np.log(lin[~below]) + (off + w_off)), l
-            shift = np.flatnonzero(below)[:, None] - ks
-            terms = np.where(shift >= 0, table.log_w[ks] + logz[l - 1, np.maximum(shift, 0)], -math.inf)
-            assert same_bits(logz[l, below], ensembles._logsumexp(terms, axis=1)), l
+        for k, j in block_steps(L):
+            s, off = scaled_row(logz[k])
+            heads, offs = zip(*(scaled_row(logz[i]) for i in range(1, j + 1)))
+            lins = blocked_head(np.array(heads), toeplitz_block(s))
+            for i in range(j):
+                l, lin = k + i + 1, lins[i]
+                below = lin < floor
+                assert same_bits(logz[l, ~below], np.log(lin[~below]) + (offs[i] + off)), l
+                shift = np.flatnonzero(below)[:, None] - ks
+                terms = np.where(shift >= 0, table.log_w[ks] + logz[l - 1, np.maximum(shift, 0)], -math.inf)
+                assert same_bits(logz[l, below], ensembles._logsumexp(terms, axis=1)), l
 
-    def test_bytes_do_not_depend_on_blas_threads(self):
-        # the row product is a threaded BLAS call; a thread splits cells, never a cell's sum
+    @pytest.mark.parametrize(
+        "A,bulk,L,N",
+        [(1, [0.5, 0.5], 400, 800), (2, [0.5, 0.0, 0.5], 200, 400)],
+        ids=["bulk_400x800", "gap_200x400"],
+    )
+    def test_bytes_do_not_depend_on_blas_threads(self, A, bulk, L, N):
+        # each product is threaded BLAS calls on inner chunks of _DEPTH, added in a
+        # fixed order; gap has rows with cells below the floor inside a product
         src = Path(__file__).resolve().parents[1] / "src"
         script = ("import sys; from pdlab import WeightFamily, build_logz; "
-                  "sys.stdout.buffer.write(build_logz(WeightFamily.bulk_tail(1.0, 1, [0.5, 0.5]), 400, 800).logz.tobytes())")
+                  f"sys.stdout.buffer.write(build_logz(WeightFamily.bulk_tail(1.0, {A}, {bulk}), {L}, {N}).logz.tobytes())")
         grids = []
         for threads in ("1", "2"):
             env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
             proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             grids.append(proc.stdout)
-        assert len(grids[0]) == 401 * 801 * 8 and grids[0] == grids[1]
+        assert len(grids[0]) == (L + 1) * (N + 1) * 8 and grids[0] == grids[1]
